@@ -22,7 +22,7 @@ def entry() -> Any:
     join -> tile assembly.  Returns the per-tile summary Dataset."""
     from proj_ray.pipelines.flagship import flagship
 
-    return flagship(sf_dir="/root/testdata/sf0.001", concurrency=2)
+    return flagship(sf_dir="/root/testdata/sf0.001")
 
 
 def queries() -> dict[str, Callable[[str], Any]]:

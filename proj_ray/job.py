@@ -16,7 +16,9 @@ query     run any registered pipeline from queries() over an sf dir
 flagship  run the resumable sharded flagship: doc-id-range partitions
           through per-partition checkpoint manifests (lineage +
           metrics); re-submitting after a failure recomputes ONLY
-          shards without a valid manifest.
+          shards without a valid manifest.  --shards sets both the
+          checkpoint granularity and the task count (one Ray Data
+          task per pending shard).
 """
 
 from __future__ import annotations
@@ -57,8 +59,7 @@ def _run_flagship(args) -> dict:
 
     _ensure_ray()
     tiles, computed, skipped = resumable_flagship(
-        args.n_docs, args.shards, args.root,
-        parallelism=args.parallelism)
+        args.n_docs, args.shards, args.root)
     return {"pipeline": "flagship", "tiles": tiles.num_rows,
             "shards_computed": computed, "shards_skipped": skipped,
             "root": args.root}
@@ -77,7 +78,6 @@ def main(argv=None) -> int:
     f.add_argument("--n-docs", type=int, required=True)
     f.add_argument("--shards", type=int, default=8)
     f.add_argument("--root", required=True)
-    f.add_argument("--parallelism", type=int, default=8)
 
     args = p.parse_args(argv)
     out = _run_query(args) if args.cmd == "query" else _run_flagship(args)

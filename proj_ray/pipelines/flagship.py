@@ -1,14 +1,17 @@
 """The flagship end-to-end pipeline (BASELINE.json north_star):
 
 interleaved doc table -> span/coordinate extraction -> CRS transform
-(webmerc kernel) -> cell encoding -> spatial join (broadcast polygon
-index; shuffle variant optional) -> raster-tile assignment ->
-per-tile assembly with join-match counts.
+(webmerc kernel) -> spatial join (broadcast polygon index; shuffle
+variant optional) -> raster-tile assignment -> per-tile assembly with
+join-match counts.
 
 Everything is ONE streaming Dataset pipeline: synthesis, extraction,
-transform, cell/tile encoding and the join probe are fused map_batches
+transform, tile encoding and the join probe are fused map_batches
 stages; the only all-to-all exchange is the final small groupby(tile)
 over pre-aggregated partials.
+
+`resumable_flagship` runs the same fused chain over checkpointed
+doc-id shards, one Ray Data task per pending shard.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ import numpy as np
 import pyarrow as pa
 
 from proj_ray.docs.spans import extract_coords_batch
-from proj_ray.docs.synth import doc_dataset, doc_dataset_from_documents
+from proj_ray.docs.synth import (doc_dataset, doc_dataset_from_documents,
+                                 make_doc_batch)
 from proj_ray.pipeline import create_operation, transform_arrays
-from proj_ray.spatial.cells import grid_cell
 from proj_ray.spatial.pip import PolygonIndex, make_polygons
 from proj_ray.spatial.tiles import tile_xy
 
@@ -48,7 +51,7 @@ def _get_state(index_ref, zoom: int):
 
 def transform_join_tile(batch: pa.Table, index_ref, zoom: int) -> pa.Table:
     """Fused stage: webmerc + exact transverse-mercator transforms +
-    cell + tile + PIP probe, emitting per-tile partial aggregates
+    tile + PIP probe, emitting per-tile partial aggregates
     (combiner before the shuffle)."""
     index, proj, utm = _get_state(index_ref, zoom)
     lon = batch.column("lon").to_numpy(zero_copy_only=False)
@@ -60,32 +63,8 @@ def transform_join_tile(batch: pa.Table, index_ref, zoom: int) -> pa.Table:
     return _partials(index, zoom, lon, lat, c, tx, ty, ux)
 
 
-class TransformJoinTile:
-    """Actor-pool variant of the fused stage (kept for API parity with
-    stateful stages that genuinely need per-actor setup)."""
-
-    def __init__(self, index_ref, zoom: int = 8):
-        import ray
-
-        self.index: PolygonIndex = (
-            ray.get(index_ref)
-            if not isinstance(index_ref, PolygonIndex) else index_ref)
-        self.zoom = zoom
-        self.proj = create_operation("+proj=webmerc +ellps=WGS84")
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        lon = batch.column("lon").to_numpy(zero_copy_only=False)
-        lat = batch.column("lat").to_numpy(zero_copy_only=False)
-        c = transform_arrays(self.proj, lon, lat)
-        tx, ty = tile_xy(lon, lat, self.zoom)
-        return _partials(self.index, self.zoom, lon, lat, c, tx, ty,
-                         np.zeros_like(lon))
-
-
 def _partials(index, zoom, lon, lat, c, tx, ty, ux) -> pa.Table:
     tile = ty * (1 << zoom) + tx
-    cell = grid_cell(lon, lat, 5.0)  # noqa: F841 — cell key available for
-    # downstream salting decisions; computed here to keep the stage fused
     pts, polys = index.query_batch(lon, lat)
     joined = np.zeros(len(lon), dtype=np.int64)
     np.add.at(joined, pts, 1)
@@ -135,8 +114,7 @@ def _tile_partials(docs, zoom: int, n_polygons: int):
 
 
 def flagship(sf_dir: str = None, n_docs: int = None, zoom: int = 8,
-             n_polygons: int = 64, concurrency: int = 4,
-             parallelism: int = 32):
+             n_polygons: int = 64, parallelism: int = 32):
     """Run the flagship pipeline; returns the per-tile summary Dataset."""
     from proj_ray.stages.agg import tree_aggregate
 
@@ -150,48 +128,82 @@ def flagship(sf_dir: str = None, n_docs: int = None, zoom: int = 8,
                           ["tile"], _TILE_AGGS)
 
 
+# doc_dataset's batch size: a shard task synthesizes its id range in
+# chunks of this many docs, so its memory is bounded by the chunk, not
+# by the shard
+_DOC_CHUNK = 65536
+
+
+def _shard_id(i: int) -> str:
+    return f"shard-{i:05d}"
+
+
+def _checkpoint_shards(batch: pa.Table, bounds, root: str,
+                       config: dict, index_ref, zoom: int) -> pa.Table:
+    """map_batches body, one row = one pending shard: synthesize the
+    shard's doc-id range chunk by chunk through the fused flagship
+    chain, combine its tile partials, and checkpoint them from inside
+    the worker (manifest last).  Only a one-row ack per shard returns."""
+    from proj_ray.stages.agg import combine_block
+    from proj_ray.state.checkpoint import CheckpointWriter
+
+    writer = CheckpointWriter(root, config)
+    acks = []
+    for i in batch.column("shard").to_pylist():
+        lo, hi = int(bounds[i]), int(bounds[i + 1])
+        parts = [
+            transform_join_tile(
+                extract_coords_batch(make_doc_batch(
+                    np.arange(s, min(s + _DOC_CHUNK, hi), dtype=np.int64))),
+                index_ref, zoom)
+            # lo + 1: an empty shard (n_docs < n_shards) still
+            # checkpoints an empty partial table
+            for s in range(lo, max(hi, lo + 1), _DOC_CHUNK)]
+        table = combine_block(pa.concat_tables(parts), ["tile"], _TILE_AGGS)
+        writer.write_partition(
+            _shard_id(i), table,
+            lineage={"partition": _shard_id(i), "doc_id_range": [lo, hi]},
+            metrics={"rows": table.num_rows})
+        acks.append(i)
+    return pa.table({"shard": pa.array(acks, type=pa.int64())})
+
+
 def resumable_flagship(n_docs: int, n_shards: int, root: str,
-                       zoom: int = 8, n_polygons: int = 64,
-                       parallelism: int = 8):
+                       zoom: int = 8, n_polygons: int = 64):
     """The flagship as a resumable partitioned job: doc-id ranges are
     the partitions, each shard's bounded tile-partial table writes
     through the per-partition checkpoint (manifest = id-range lineage +
     row metrics), and a re-run computes ONLY shards without a valid
-    manifest.  The final tile table re-aggregates the checkpointed
+    manifest.
+
+    `n_shards` sets both the checkpoint granularity and the task count:
+    all pending shards run as one Ray Data execution with one task per
+    shard, each task checkpointing its own shard, so the driver sees
+    only acks.  The final tile table re-aggregates the checkpointed
     partials — associative, so shard boundaries never change the
     answer.  Returns (tile_table, n_computed, n_skipped)."""
+    import ray
     import ray.data as rd
 
-    from proj_ray.docs.synth import make_doc_batch
     from proj_ray.stages.agg import combine_block
-    from proj_ray.state.checkpoint import run_partitioned
+    from proj_ray.state.checkpoint import CheckpointWriter
 
-    bounds = np.linspace(0, n_docs, n_shards + 1).astype(np.int64)
-    pids = [f"shard-{i:05d}" for i in range(n_shards)]
-
-    def make_table(pid: str) -> pa.Table:
-        i = int(pid.split("-")[1])
-        lo, hi = int(bounds[i]), int(bounds[i + 1])
-        docs = rd.range(hi - lo, override_num_blocks=parallelism) \
+    config = {"n_docs": n_docs, "n_shards": n_shards, "zoom": zoom,
+              "n_polygons": n_polygons}
+    writer = CheckpointWriter(root, config)
+    pending = [i for i in range(n_shards)
+               if not writer.is_done(_shard_id(i))]
+    acks = []
+    if pending:
+        bounds = np.linspace(0, n_docs, n_shards + 1).astype(np.int64)
+        index_ref = ray.put(PolygonIndex(make_polygons(n_polygons), 5.0))
+        acks = rd.from_items([{"shard": i} for i in pending],
+                             override_num_blocks=len(pending)) \
             .map_batches(
-                lambda b, lo=lo: make_doc_batch(
-                    b["id"].to_numpy() + lo),
-                batch_format="pyarrow", batch_size=65536)
-        partials = _tile_partials(docs, zoom, n_polygons)
-        shard = pa.concat_tables(
-            [b for b in partials.iter_batches(batch_format="pyarrow")],
-            promote_options="default")
-        return combine_block(shard, ["tile"], _TILE_AGGS)
-
-    def lineage(pid: str):
-        i = int(pid.split("-")[1])
-        return {"partition": pid,
-                "doc_id_range": [int(bounds[i]), int(bounds[i + 1])]}
-
-    writer, computed, skipped = run_partitioned(
-        pids, make_table, root,
-        config={"n_docs": n_docs, "n_shards": n_shards, "zoom": zoom,
-                "n_polygons": n_polygons},
-        lineage_fn=lineage)
+                _checkpoint_shards, batch_format="pyarrow", batch_size=1,
+                fn_kwargs={"bounds": bounds,
+                           "root": root, "config": config,
+                           "index_ref": index_ref, "zoom": zoom}) \
+            .take_all()
     tiles = combine_block(writer.read_all(), ["tile"], _TILE_AGGS)
-    return tiles, computed, skipped
+    return tiles, len(acks), n_shards - len(pending)

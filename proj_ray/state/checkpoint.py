@@ -15,7 +15,7 @@ import json
 import os
 import shutil
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -61,16 +61,21 @@ class CheckpointWriter:
     def write_partition(self, partition_id: str, table: pa.Table,
                         lineage: Optional[Dict] = None,
                         metrics: Optional[Dict] = None) -> None:
-        """Atomic write: temp dir -> rename, manifest last."""
+        """Atomic write: temp dir -> rename, manifest last.  A failed
+        write removes its temp dir before re-raising."""
         final_dir = os.path.join(self.root, f"part={partition_id}")
         tmp_dir = os.path.join(self.root, f".tmp_{partition_id}_{os.getpid()}")
         if os.path.exists(tmp_dir):
             shutil.rmtree(tmp_dir)
         os.makedirs(tmp_dir)
-        pq.write_table(table, os.path.join(tmp_dir, "data.parquet"))
-        if os.path.exists(final_dir):
-            shutil.rmtree(final_dir)
-        os.rename(tmp_dir, final_dir)
+        try:
+            pq.write_table(table, os.path.join(tmp_dir, "data.parquet"))
+            if os.path.exists(final_dir):
+                shutil.rmtree(final_dir)
+            os.rename(tmp_dir, final_dir)
+        except BaseException:
+            shutil.rmtree(tmp_dir, ignore_errors=True)
+            raise
         manifest = {
             "partition_id": partition_id,
             "config_hash": self.cfg_hash,
@@ -105,22 +110,3 @@ class CheckpointWriter:
                 parts.append(pq.read_table(
                     os.path.join(self.root, name, "data.parquet")))
         return pa.concat_tables(parts) if parts else pa.table({})
-
-
-def run_partitioned(
-    partition_ids: List[str],
-    make_table: Callable[[str], pa.Table],
-    root: str,
-    config: Optional[Dict] = None,
-    lineage_fn: Optional[Callable[[str], Dict]] = None,
-):
-    """Run a partitioned job with resume: only pending partitions are
-    computed; returns (writer, n_computed, n_skipped)."""
-    writer = CheckpointWriter(root, config)
-    pending = writer.pending(partition_ids)
-    for pid in pending:
-        table = make_table(pid)
-        lineage = lineage_fn(pid) if lineage_fn else {"partition": pid}
-        writer.write_partition(pid, table, lineage=lineage,
-                               metrics={"rows": table.num_rows})
-    return writer, len(pending), len(partition_ids) - len(pending)

@@ -1,17 +1,26 @@
 """Checkpoint/resume: partitioned writes, manifests, skip-on-resume,
-and config-hash invalidation."""
+config-hash invalidation, and no torn output from a failed write."""
 
 import os
 
 import pyarrow as pa
 import pytest
 
-from proj_ray.state.checkpoint import CheckpointWriter, run_partitioned
+from proj_ray.state.checkpoint import CheckpointWriter
 
 
 def make_table(pid: str) -> pa.Table:
     n = int(pid) + 1
     return pa.table({"x": list(range(n)), "part": [pid] * n})
+
+
+def run_pending(parts, make, root, config):
+    """Write every pending partition; returns (writer, computed, skipped)."""
+    w = CheckpointWriter(root, config)
+    pending = w.pending(parts)
+    for pid in pending:
+        w.write_partition(pid, make(pid), lineage={"partition": pid})
+    return w, len(pending), len(parts) - len(pending)
 
 
 def test_write_resume_skip(tmp_path):
@@ -23,17 +32,14 @@ def test_write_resume_skip(tmp_path):
         calls.append(pid)
         return make_table(pid)
 
-    w, computed, skipped = run_partitioned(parts, tracked, root,
-                                           config={"v": 1})
+    w, computed, skipped = run_pending(parts, tracked, root, {"v": 1})
     assert computed == 5 and skipped == 0
     # resume: nothing recomputed
     calls.clear()
-    w, computed, skipped = run_partitioned(parts, tracked, root,
-                                           config={"v": 1})
+    w, computed, skipped = run_pending(parts, tracked, root, {"v": 1})
     assert computed == 0 and skipped == 5 and calls == []
     # config change invalidates
-    w, computed, skipped = run_partitioned(parts, tracked, root,
-                                           config={"v": 2})
+    w, computed, skipped = run_pending(parts, tracked, root, {"v": 2})
     assert computed == 5
     # data integrity
     total = w.read_all()
@@ -51,54 +57,100 @@ def test_partial_failure_resume(tmp_path):
         return make_table(pid)
 
     with pytest.raises(RuntimeError):
-        run_partitioned(parts, flaky, root, config={"v": 1})
+        run_pending(parts, flaky, root, {"v": 1})
     w = CheckpointWriter(root, {"v": 1})
     assert w.pending(parts) == ["2", "3"]
     # no torn output for the failed partition
     assert not os.path.exists(os.path.join(root, "part=2"))
-    w2, computed, skipped = run_partitioned(parts, make_table, root,
-                                            config={"v": 1})
+    w2, computed, skipped = run_pending(parts, make_table, root, {"v": 1})
     assert computed == 2 and skipped == 2
 
 
-def test_resumable_flagship_matches_oneshot_and_skips(tmp_path,
-                                                      ray_session):
-    import os
-
+def assert_tiles_match_oneshot(tiles, n_docs):
+    """The checkpointed tile table equals one-shot flagship()'s."""
     import pandas as pd
 
-    from proj_ray.pipelines.flagship import flagship, resumable_flagship
+    from proj_ray.pipelines.flagship import flagship
 
-    root = str(tmp_path / "ckpt")
-    n_docs, n_shards = 4000, 4
-
-    tiles, computed, skipped = resumable_flagship(
-        n_docs, n_shards, root, parallelism=2)
-    assert (computed, skipped) == (4, 0)
-
-    # the sharded, checkpointed answer equals the one-shot pipeline
     want = flagship(n_docs=n_docs, parallelism=4).to_pandas() \
         .sort_values("tile").reset_index(drop=True)
     got = tiles.to_pandas().sort_values("tile").reset_index(drop=True)
     pd.testing.assert_frame_equal(
         got[want.columns.tolist()], want, check_exact=False, rtol=1e-12)
 
+
+def test_resumable_flagship_matches_oneshot_and_skips(tmp_path,
+                                                      ray_session):
+    import os
+
+    from proj_ray.pipelines.flagship import resumable_flagship
+
+    root = str(tmp_path / "ckpt")
+    n_docs, n_shards = 4000, 4
+
+    tiles, computed, skipped = resumable_flagship(n_docs, n_shards, root)
+    assert (computed, skipped) == (4, 0)
+
+    # the sharded, checkpointed answer equals the one-shot pipeline
+    assert_tiles_match_oneshot(tiles, n_docs)
+
     # resume: nothing recomputes
-    _, computed, skipped = resumable_flagship(
-        n_docs, n_shards, root, parallelism=2)
+    _, computed, skipped = resumable_flagship(n_docs, n_shards, root)
     assert (computed, skipped) == (0, 4)
 
     # kill one shard's manifest -> exactly that shard recomputes and
     # the combined answer is unchanged
     victim = [f for f in os.listdir(root) if f.endswith(".json")][1]
     os.remove(os.path.join(root, victim))
-    tiles2, computed, skipped = resumable_flagship(
-        n_docs, n_shards, root, parallelism=2)
+    tiles2, computed, skipped = resumable_flagship(n_docs, n_shards, root)
     assert (computed, skipped) == (1, 3)
-    got2 = tiles2.to_pandas().sort_values("tile").reset_index(drop=True)
-    pd.testing.assert_frame_equal(
-        got2[want.columns.tolist()], want, check_exact=False,
-        rtol=1e-12)
+    assert_tiles_match_oneshot(tiles2, n_docs)
+
+
+def test_resumable_flagship_failed_shard_leaves_no_torn_output(
+        tmp_path, ray_session):
+    """A shard whose write fails in its worker raises out of the run,
+    leaves neither a manifest nor a temp dir, and does not disturb the
+    shards that finished; the re-run computes only what is pending."""
+    from ray.data.exceptions import UserCodeException
+
+    from proj_ray.pipelines.flagship import resumable_flagship
+
+    root = str(tmp_path / "ckpt")
+    n_docs, n_shards = 4000, 4
+    pids = [f"shard-{i:05d}" for i in range(n_shards)]
+    os.makedirs(root)
+    blocker = os.path.join(root, "part=shard-00002")
+    with open(blocker, "w") as f:
+        f.write("not a partition dir")
+
+    with pytest.raises(UserCodeException, match="Not a directory"):
+        resumable_flagship(n_docs, n_shards, root)
+    names = os.listdir(root)
+    assert "_manifest_shard-00002.json" not in names
+    assert not [n for n in names if n.startswith(".tmp_")], names
+    w = CheckpointWriter(root, {"n_docs": n_docs, "n_shards": n_shards,
+                                "zoom": 8, "n_polygons": 64})
+    finished = [p for p in pids if f"_manifest_{p}.json" in names]
+    assert all(w.is_done(p) for p in finished)
+
+    os.remove(blocker)
+    pending = w.pending(pids)
+    assert "shard-00002" in pending
+    tiles, computed, skipped = resumable_flagship(n_docs, n_shards, root)
+    assert (computed, skipped) == (len(pending), n_shards - len(pending))
+    assert_tiles_match_oneshot(tiles, n_docs)
+
+
+def test_resumable_flagship_more_shards_than_docs(tmp_path, ray_session):
+    """Empty doc-id shards still checkpoint, so the run completes and
+    its tiles equal the one-shot pipeline's."""
+    from proj_ray.pipelines.flagship import resumable_flagship
+
+    tiles, computed, skipped = resumable_flagship(
+        3, 4, str(tmp_path / "ckpt"))
+    assert (computed, skipped) == (4, 0)
+    assert_tiles_match_oneshot(tiles, 3)
 
 
 def test_job_entrypoint_resume(tmp_path, ray_session, capsys):
@@ -110,12 +162,12 @@ def test_job_entrypoint_resume(tmp_path, ray_session, capsys):
 
     root = str(tmp_path / "jobckpt")
     assert main(["flagship", "--n-docs", "1500", "--shards", "3",
-                 "--root", root, "--parallelism", "2"]) == 0
+                 "--root", root]) == 0
     first = json.loads(capsys.readouterr().out.strip())
     assert (first["shards_computed"], first["shards_skipped"]) == (3, 0)
 
     assert main(["flagship", "--n-docs", "1500", "--shards", "3",
-                 "--root", root, "--parallelism", "2"]) == 0
+                 "--root", root]) == 0
     second = json.loads(capsys.readouterr().out.strip())
     assert (second["shards_computed"], second["shards_skipped"]) == (0, 3)
     assert second["tiles"] == first["tiles"]

@@ -30,3 +30,33 @@ def test_gie_corpus():
         f"supported gie case count regressed: {supported} < "
         f"{MIN_SUPPORTED_CASES}"
     )
+
+
+def test_extract_require_grid_skips_block_if_any_grid_missing(
+        tmp_path, monkeypatch):
+    """gie semantics: a block runs only when EVERY grid it requires is
+    available, so a missing grid listed before an available one still
+    drops the block."""
+    import proj_ray.ops.gridshift as gridshift
+    from tools.extract_gie import extract
+
+    monkeypatch.setattr(
+        gridshift, "resolve_grid_path",
+        lambda name: f"grids/{name}" if name == "have.gsb" else None)
+    gie = tmp_path / "t.gie"
+    gie.write_text(
+        "<gie>\n"
+        "operation +proj=merc +ellps=GRS80\n"
+        "require_grid missing.gsb\n"
+        "require_grid have.gsb\n"
+        "accept 12 55\n"
+        "expect 1335833.8895 7326837.7149\n"
+        "\n"
+        "operation +proj=merc +ellps=GRS80\n"
+        "require_grid have.gsb\n"
+        "accept 12 55\n"
+        "expect 1335833.8895 7326837.7149\n"
+        "</gie>\n")
+    cases, drops = extract(str(gie), "t.gie")
+    assert drops == {"require_grid": 1}
+    assert [c["case_id"] for c in cases] == ["t.gie:11"]

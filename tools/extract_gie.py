@@ -251,7 +251,9 @@ def extract(path: str, relname: str):
                 os.path.dirname(__file__), ".."))
             from proj_ray.ops.gridshift import resolve_grid_path
 
-            require_grid = resolve_grid_path(args.strip()) is None
+            # any one missing grid skips the block, so accumulate
+            require_grid = require_grid or \
+                resolve_grid_path(args.strip()) is None
         elif tag == "accept":
             accept, accept_dims = parse_coord(args)
         elif tag == "roundtrip":
