@@ -14,7 +14,14 @@ the reference interpreter (src/apps/gie.cpp):
 * `expect failure` passes when the transform flags the row
   (gie.cpp:941-1005);
 * `roundtrip n tol` applies fwd∘inv n times and compares drift
-  (gie.cpp:806-860).
+  (gie.cpp:806-860);
+* a case whose operation names a grid, model or TIN file that this host
+  cannot find is skipped and counted, per file, as gie's `require_grid`
+  skips its block; the extracted corpus carries no file requirements,
+  so the check runs here, on the expanded operation;
+* an error raised while transforming flags the row like the reference's
+  errno: the case fails with the message (passes under
+  `expect failure`) and the run carries on.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from proj_ray.core import mathops as m
 from proj_ray.core.coords import Coords
 from proj_ray.core.ellipsoid import Ellipsoid
 from proj_ray.ops.base import Params, ProjError, RADIANS, resolve_ellipsoid
+from proj_ray.ops.gridshift import missing_files
 from proj_ray.pipeline import Pipeline, create_operation
 
 _op_cache: Dict[str, Pipeline] = {}
@@ -87,8 +95,10 @@ class GieResult:
     passed: int = 0
     failed: int = 0
     unsupported: int = 0
+    skipped: int = 0
     fail_cases: List[dict] = field(default_factory=list)
     unsupported_ops: Dict[str, int] = field(default_factory=dict)
+    skipped_files: Dict[str, int] = field(default_factory=dict)
 
     @property
     def pass_rate(self) -> float:
@@ -118,7 +128,16 @@ def run_case(case: dict) -> tuple:
                     err.startswith("EXC:")):
             return "unsupported", err
         return "fail", f"setup: {err}"
+    try:
+        return _check_case(case, p)
+    except ProjError as e:
+        if case.get("expect_failure"):
+            return "pass", None
+        return "fail", f"transform: {e}"
 
+
+def _check_case(case: dict, p: Pipeline) -> tuple:
+    defn = case["operation"]
     inverse = case.get("direction", "forward").startswith(("inv", "rev"))
     angular_in = (p.right if inverse else p.left) == RADIANS
     angular_out = (p.left if inverse else p.right) == RADIANS
@@ -204,6 +223,12 @@ def run_cases(cases: List[dict],
         if only_ops is not None and not (opname & only_ops):
             continue
         res.total += 1
+        missing = missing_files(case["operation"])
+        if missing:
+            res.skipped += 1
+            for name in missing:
+                res.skipped_files[name] = res.skipped_files.get(name, 0) + 1
+            continue
         status, detail = run_case(case)
         if status == "pass":
             res.passed += 1

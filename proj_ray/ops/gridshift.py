@@ -30,7 +30,7 @@ pass through unchanged for synthetic grids.
 from __future__ import annotations
 
 import os
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -73,6 +73,7 @@ def _now_decimal_year() -> float:
 
 
 def resolve_grid_path(name: str):
+    """Path of a grid file on this host, or None when it cannot be found."""
     cands = []
     if name in _RENAMES:
         cands.append(os.path.join(_DATA_DIR, _RENAMES[name]))
@@ -84,6 +85,47 @@ def resolve_grid_path(name: str):
         if os.path.exists(c):
             return c
     return None
+
+
+# operation parameters that name grid, model or TIN files
+_FILE_PARAMS = ("grids", "nadgrids", "geoidgrids", "xy_grids", "z_grids",
+                "model", "file")
+
+
+def missing_files(defn: str) -> List[str]:
+    """Files named by an operation that this host cannot find.
+
+    The operation is read after its URN, init and datum expansion (so
+    ``+datum=potsdam`` names BETA2007.gsb).  Every name in the
+    ``grids``/``nadgrids``/``geoidgrids``/``xy_grids``/``z_grids``/
+    ``model``/``file`` values counts, optional ``@`` grids included;
+    ``null`` and ``synth:`` specs are not files.  Names are resolved as
+    the operations resolve them: grids with :func:`resolve_grid_path`
+    (``.npz`` archives as plain paths), deformation models and tinshift
+    files with ``tinshift._resolve_model``.  Used by the gie runner to
+    skip a case whose files are absent, as gie's ``require_grid`` does.
+    """
+    from proj_ray.ops.tinshift import _resolve_model
+    from proj_ray.pipeline import expand_definition
+
+    missing = []
+    for tok in expand_definition(defn).split():
+        key, _, value = tok.lstrip("+").partition("=")
+        if key not in _FILE_PARAMS or value.startswith("synth:"):
+            continue
+        for name in value.split(","):
+            name = name.strip().lstrip("@")
+            if not name or name == "null" or name in missing:
+                continue
+            if key in ("model", "file"):
+                found = _resolve_model(name)
+            elif name.endswith(".npz"):
+                found = os.path.exists(name)
+            else:
+                found = resolve_grid_path(name)
+            if not found:
+                missing.append(name)
+    return missing
 
 
 class ShiftGrid:
@@ -317,8 +359,10 @@ def load_grids(spec: str, vertical: bool = False):
         else:
             raise ProjError(
                 f"unknown or unsupported grid format: {part!r}")
-    if not grids:
-        raise ProjError(f"gridshift: no usable grid in {spec!r}")
+    # an empty list (every grid optional and absent) is not an error:
+    # the operation passes coordinates through unchanged (pj_hgrid_init
+    # drops missing optional grids; hgridshift.cpp/vgridshift.cpp apply
+    # the shift only when at least one grid is loaded)
     return grids, strict
 
 
@@ -451,10 +495,6 @@ class _GridShiftBase(Operation):
             self._strict = strict
         return self._glist
 
-    @property
-    def grid(self) -> ShiftGrid:
-        return self.glist.grids[0]
-
     def _miss(self, c: Coords, found) -> None:
         if self._strict:
             bad = ~found
@@ -490,6 +530,8 @@ class _GridShiftBase(Operation):
 
     def _apply_all(self, c: Coords, direction: int) -> None:
         gl = self.glist
+        if not gl.grids:
+            return
         lam, phi, z = c.x, c.y, c.z
         if self.vertical:
             s, found = gl.sample(lam, phi)

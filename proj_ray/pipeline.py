@@ -158,24 +158,31 @@ def _make_op(params: Params) -> Operation:
     return cls(params)
 
 
-def create_operation(defn: str) -> Pipeline:
-    """Build an executable operation from a proj string.
-
-    Handles both single operations ("+proj=utm +zone=32 +ellps=GRS80")
-    and pipelines ("+proj=pipeline +step +proj=... +step +inv +proj=...").
-    """
+def expand_definition(defn: str) -> str:
+    """A proj string after the URN, init and datum shims
+    (proj_ray/epsg_init.py); a URN not in the shim comes back as is."""
     from proj_ray.epsg_init import expand_datum, expand_init, expand_urn
 
     # OGC URN shim (nkg.gie-style coordinateOperation URNs) runs first:
     # a URN is a whole-operation name, not a +key=value string
     defn = expand_urn(defn)
     if defn.strip().startswith("urn:"):
+        return defn
+    # EPSG init shim + datum table expansion; anything not in the shim
+    # is out of scope (no EPSG database)
+    return expand_datum(expand_init(Params.normalize(defn)))
+
+
+def create_operation(defn: str) -> Pipeline:
+    """Build an executable operation from a proj string.
+
+    Handles both single operations ("+proj=utm +zone=32 +ellps=GRS80")
+    and pipelines ("+proj=pipeline +step +proj=... +step +inv +proj=...").
+    """
+    defn = expand_definition(defn)
+    if defn.strip().startswith("urn:"):
         raise ProjError(f"unknown or unsupported: URN not in the shim "
                         f"table: {defn.strip()!r}")
-    defn = Params.normalize(defn)
-    # EPSG init shim + datum table expansion (proj_ray/epsg_init.py);
-    # anything not in the shim is out of scope (no EPSG database)
-    defn = expand_datum(expand_init(defn))
     # +nadgrids=@null is an explicit no-op marker; real grid catalogs are
     # out of scope
     defn = defn.replace("nadgrids=@null", "")

@@ -13,6 +13,7 @@ import pytest
 
 from proj_ray.crs import CRS, crs_to_crs, parse_wkt_tree
 from proj_ray.ops.base import ProjError
+from proj_ray.ops.gridshift import missing_files
 from proj_ray.pipeline import create_operation, transform_arrays
 
 LON = np.array([9.0, 12.5, 7.43, 10.2, 8.0])
@@ -726,6 +727,12 @@ def test_boundcrs_ntv2_parameterfile_parses():
     assert "nadgrids=BETA2007.gsb" in crs.to_proj_string()
 
 
+_BETA2007_MISSING = missing_files(
+    CRS.from_wkt(BOUNDCRS_DHDN_NTV2).to_proj_string())
+
+
+@pytest.mark.skipif(bool(_BETA2007_MISSING),
+                    reason=f"grid file not found: {_BETA2007_MISSING}")
 def test_boundcrs_ntv2_matches_gie_expectations():
     """crs_to_crs over the grid-bound DHDN CRS must reproduce the
     reference's DHDN_ETRS89.gie values (real BETA2007.gsb, 1 mm):

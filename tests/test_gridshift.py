@@ -2,6 +2,7 @@
 exactness at nodes, fixed-point inverse roundtrip <= 1e-12 rad."""
 
 import numpy as np
+import pytest
 
 from proj_ray.core import mathops as m
 from proj_ray.ops.gridshift import ARCSEC_TO_RAD, ShiftGrid
@@ -172,3 +173,53 @@ def test_beta2007_shaped_ntv2_reader_and_interp(tmp_path):
                             direction="inverse")
     np.testing.assert_allclose(back.x, lon, atol=5e-9)
     np.testing.assert_allclose(back.y, lat, atol=5e-9)
+
+
+# ------------- missing grid files --------------------------------------
+
+
+def test_missing_optional_grid_passes_through():
+    """An absent '@' grid is dropped at load and the operation passes
+    coordinates through unchanged (hgridshift.cpp/vgridshift.cpp apply
+    the shift only when a grid is loaded)."""
+    lon, lat, h = np.array([7.5, -120.0]), np.array([53.5, 40.0]), \
+        np.array([100.0, -5.0])
+    for defn in ("+proj=hgridshift +grids=@no_such.gsb",
+                 "+proj=vgridshift +grids=@no_such.gtx"):
+        p = create_operation(defn)
+        for direction in ("forward", "inverse"):
+            c = transform_arrays(p, lon, lat, h, direction=direction)
+            assert (c.err == 0).all(), (defn, direction)
+            # deg -> rad -> deg at the API boundary costs ~1 ulp
+            np.testing.assert_allclose(c.x, lon, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(c.y, lat, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(c.z, h)
+
+
+def test_missing_required_grid_raises_at_setup():
+    from proj_ray.ops.base import ProjError
+
+    for defn in ("+proj=hgridshift +grids=no_such.gsb",
+                 "+proj=vgridshift +grids=no_such.gtx",
+                 "+proj=hgridshift +grids=@no_such.gsb,no_such_2.gsb"):
+        with pytest.raises(ProjError):
+            create_operation(defn)
+
+
+def test_missing_files_names_only_absent_files(tmp_path):
+    from proj_ray.ops.gridshift import missing_files, resolve_grid_path
+
+    npz = tmp_path / "g.npz"
+    np.savez(npz, meta=np.array([-10.0, 40.0, 0.5]),
+             values=np.zeros((3, 3, 2)))
+    assert missing_files(f"+proj=hgridshift +grids={SPEC}") == []
+    assert missing_files(f"+proj=hgridshift +grids=@null,{npz}") == []
+    assert missing_files("+proj=merc +ellps=GRS80") == []
+    assert missing_files(
+        "+proj=pipeline +step +proj=hgridshift +grids=@no_such.gsb,null "
+        "+step +proj=vgridshift +grids=no_such.gtx "
+        "+step +proj=tinshift +file=no_such.json") == [
+            "no_such.gsb", "no_such.gtx", "no_such.json"]
+    # datum expansion: +datum=potsdam names @BETA2007.gsb
+    beta = [] if resolve_grid_path("BETA2007.gsb") else ["BETA2007.gsb"]
+    assert missing_files("+proj=longlat +datum=potsdam") == beta

@@ -13,9 +13,17 @@ import numpy as np
 import pytest
 
 from proj_ray.epsg_init import NKG_URN, expand_urn
+from proj_ray.ops.gridshift import missing_files
 from proj_ray.pipeline import create_operation, transform_arrays
 
 URN = "urn:ogc:def:coordinateOperation:NKG::"
+
+
+def _needs_files_of(*codes):
+    """Skip unless every grid the URN operations name is on this host."""
+    missing = sorted({f for c in codes for f in missing_files(URN + c)})
+    return pytest.mark.skipif(bool(missing),
+                              reason=f"grid file not found: {missing}")
 
 
 def _xyz(lon_deg, lat_deg, h=50.0):
@@ -38,6 +46,7 @@ def test_urn_table_covers_2008_family():
         == URN + "ITRF2014_TO_NKG_ETRF14"
 
 
+@_needs_files_of("ITRF2000_TO_NKG_ETRF00", "ITRF2000_TO_SE", "ETRF00_TO_FI")
 def test_urn_pipelines_run_and_roundtrip_inside_extract():
     x, y, z = _xyz(21.3, 63.0)
     t = np.array([2020.5])
@@ -55,6 +64,8 @@ def test_urn_pipelines_run_and_roundtrip_inside_extract():
         assert rt < 5e-6  # sub-micrometre closure
 
 
+@_needs_files_of("ITRF2000_TO_SE", "ITRF2000_TO_NKG_ETRF00",
+                "ETRF00_TO_SE")
 def test_itrf_to_country_composes_common_then_national():
     """ITRF2000_TO_SE must equal ITRF2000_TO_NKG_ETRF00 then
     ETRF00_TO_SE (concatenated_operation_step rows, nkg.sql)."""
@@ -73,6 +84,7 @@ def test_itrf_to_country_composes_common_then_national():
     assert rw.z[0] == pytest.approx(rb.z[0], abs=1e-9)
 
 
+@_needs_files_of("ITRF2000_TO_DK")
 def test_outside_extract_reports_domain_error():
     """The real nkg.gie station points are outside the extract grid:
     the pipeline must flag them, mirroring why the extractor drops

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from proj_ray.core.coords import Coords
+from proj_ray.ops.gridshift import missing_files
 from proj_ray.opselect import ERR_NO_OPERATION, create_crs_pipeline
 from proj_ray.pipeline import create_operation, transform_arrays
 
@@ -19,6 +20,10 @@ def _run(alt, lon, lat, inverse=False):
 
 WEST_GRID = "synth:5,-180,-90,2,90,91"
 EAST_GRID = "synth:9,-180,-90,2,90,91"
+
+_ALASKA_MISSING = missing_files("+proj=hgridshift +grids=alaska")
+needs_alaska = pytest.mark.skipif(
+    bool(_ALASKA_MISSING), reason=f"grid file not found: {_ALASKA_MISSING}")
 
 
 def test_per_point_bbox_selection():
@@ -68,6 +73,7 @@ def test_accuracy_ranking_and_area_tiebreak():
     assert x2[0] == pytest.approx(ref.x[0], abs=1e-12)
 
 
+@needs_alaska
 def test_grid_miss_retries_next_candidate():
     """A candidate whose bbox contains the point but whose grid does
     not (the reference's ntv2-bbox-but-conus-point case) retries the
@@ -93,6 +99,7 @@ def test_grid_miss_retries_next_candidate():
     assert abs(x[1] - ref_conus.x[0]) > 1e-9  # genuinely different ops
 
 
+@needs_alaska
 def test_gridless_fallback_and_no_operation():
     """Outside every bbox: first gridless candidate runs; with no
     gridless candidate the point errors with no-operation."""

@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Report gie-corpus pass/fail/unsupported status for the current engine.
+"""Report gie-corpus pass/fail/unsupported/skipped status for the current
+engine; skipped cases name a grid, model or TIN file absent on this host.
 
 Usage: python tools/gie_report.py [--fails N] [--ops]
 """
@@ -24,6 +25,10 @@ def main():
     print(f"passed  : {res.passed}")
     print(f"failed  : {res.failed}")
     print(f"unsupp. : {res.unsupported}")
+    print(f"skipped : {res.skipped} "
+          f"({len(res.skipped_files)} missing files)")
+    for name, n in sorted(res.skipped_files.items()):
+        print(f"  missing {name}: {n} cases")
     print(f"pass rate (supported): {res.pass_rate:.4%}")
     if "--ops" in sys.argv:
         for op, n in sorted(res.unsupported_ops.items(),
