@@ -16,8 +16,9 @@ Grid sources:
 * ``null`` — the reference's whole-world zero grid.
 * ``<file>.npz`` — local numpy archive (legacy test format).
 
-File names resolve against the reference's test data directory with the
-same renames its CMake applies for the test suite
+File names resolve against each ``PROJ_DATA`` directory, then the
+reference's data directory (`data_dirs`), with the same renames the
+reference's CMake applies for its test suite
 (data/CMakeLists.txt:100-101: egm96_15_downsampled.gtx -> egm96_15.gtx,
 ntv2_0_downsampled.gsb -> ntv2_0.gsb).
 
@@ -72,15 +73,26 @@ def _now_decimal_year() -> float:
     return _NOW_DECIMAL_YEAR
 
 
+def data_dirs() -> List[str]:
+    """Directories searched for grid, model and TIN files, in order:
+    each entry of ``PROJ_DATA`` (PROJ's own variable, ``os.pathsep``
+    separated), then the reference's data tree."""
+    env = os.environ.get("PROJ_DATA", "").split(os.pathsep)
+    return [d for d in env if d] + [_DATA_DIR]
+
+
 def resolve_grid_path(name: str):
-    """Path of a grid file on this host, or None when it cannot be found."""
-    cands = []
-    if name in _RENAMES:
-        cands.append(os.path.join(_DATA_DIR, _RENAMES[name]))
-    cands.append(os.path.join(_DATA_DIR, name))
-    cands.append(os.path.join(_DATA_DIR, "tests", name))
-    if os.path.isabs(name):
-        cands.insert(0, name)
+    """Path of a grid file on this host, or None when it cannot be found.
+
+    An absolute name is tried as is; then, in every directory of
+    :func:`data_dirs`, the test-suite rename, the name, and the name
+    under ``tests/``."""
+    cands = [name] if os.path.isabs(name) else []
+    for d in data_dirs():
+        if name in _RENAMES:
+            cands.append(os.path.join(d, _RENAMES[name]))
+        cands.append(os.path.join(d, name))
+        cands.append(os.path.join(d, "tests", name))
     for c in cands:
         if os.path.exists(c):
             return c

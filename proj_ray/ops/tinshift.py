@@ -19,15 +19,17 @@ import numpy as np
 from proj_ray.core.coords import Coords, ERR_OUTSIDE_DOMAIN
 from proj_ray.ops.base import (Operation, Params, ProjError, WHATEVER,
                                register)
+from proj_ray.ops.gridshift import data_dirs
 
 EPS = 1e-10
-_MODEL_DIR = "/root/reference/data"
 
 
 def _resolve_model(name: str):
-    for cand in (name, os.path.join(_MODEL_DIR, name),
-                 os.path.join(_MODEL_DIR, "tests", name)):
-        if os.path.exists(cand) and os.path.isfile(cand):
+    cands = [name]
+    for d in data_dirs():
+        cands += [os.path.join(d, name), os.path.join(d, "tests", name)]
+    for cand in cands:
+        if os.path.isfile(cand):
             return cand
     return None
 

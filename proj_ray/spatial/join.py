@@ -31,7 +31,7 @@ import numpy as np
 import pyarrow as pa
 
 from proj_ray.spatial.cells import grid_cell
-from proj_ray.spatial.pip import PolygonIndex, points_in_polygon, \
+from proj_ray.spatial.pip import PolygonEdges, PolygonIndex, \
     polygon_covering_cells
 
 
@@ -48,16 +48,16 @@ class BroadcastPIPJoiner:
         from proj_ray.stages.worker_cache import get_broadcast
 
         self.index: PolygonIndex = get_broadcast(index_ref)
+        self.ids = np.asarray(self.index.polygon_id, dtype=object)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         lon = batch.column("lon").to_numpy(zero_copy_only=False)
         lat = batch.column("lat").to_numpy(zero_copy_only=False)
         pts, polys = self.index.query_batch(lon, lat)
-        ids = np.asarray(self.index.polygon_id, dtype=object)
         return pa.table({
             "doc_id": batch.column("doc_id").take(pa.array(pts)),
             "offset": batch.column("offset").take(pa.array(pts)),
-            "polygon_id": pa.array(ids[polys], type=pa.string()),
+            "polygon_id": pa.array(self.ids[polys], type=pa.string()),
         })
 
 
@@ -177,43 +177,24 @@ def shuffle_pip_join(coords_ds, polygons: Dict, res_deg: float = 5.0,
 
     pts = coords_ds.map_batches(key_points, batch_format="pyarrow")
     both = pts.union(rd.from_arrow(poly_table))
-    rings_arr = rings
-    ids_arr = ids
+    edges = PolygonEdges(rings)
+    ids_arr = np.asarray(ids, dtype=object)
 
     def refine(group: pa.Table) -> pa.Table:
-        empty = pa.table({"doc_id": pa.array([], type=doc_id_type),
-                          "offset": pa.array([], type=pa.int32()),
-                          "polygon_id": pa.array([], type=pa.string())})
         side = group.column("side").to_numpy(zero_copy_only=False)
-        polys = group.column("poly_idx").to_numpy(
-            zero_copy_only=False)[side == 0]
-        if len(polys) == 0:
-            return empty
+        polys = np.unique(group.column("poly_idx").to_numpy(
+            zero_copy_only=False)[side == 0])
         pmask = side == 1
         lon = group.column("lon").to_numpy(zero_copy_only=False)[pmask]
         lat = group.column("lat").to_numpy(zero_copy_only=False)[pmask]
-        doc = group.column("doc_id").filter(pa.array(pmask))
-        off = group.column("offset").filter(pa.array(pmask))
-        out_doc = []
-        out_off = []
-        out_poly = []
-        for pi in np.unique(polys):
-            hit = points_in_polygon(lon, lat, rings_arr[pi])
-            if hit.any():
-                sel = pa.array(np.flatnonzero(hit))
-                out_doc.append(doc.take(sel))
-                out_off.append(off.take(sel))
-                out_poly.append(pa.array([ids_arr[pi]] * len(sel)))
-        if not out_doc:
-            return empty
+        # every point of the group is a candidate for every polygon
+        pts, hit = edges.match(lon, lat, np.zeros(len(lon), dtype=np.int64),
+                               np.full(len(lon), len(polys)), polys)
+        sel = pa.array(np.flatnonzero(pmask)[pts])
         return pa.table({
-            "doc_id": pa.concat_arrays([a.combine_chunks() if
-                                        isinstance(a, pa.ChunkedArray) else a
-                                        for a in out_doc]),
-            "offset": pa.concat_arrays([a.combine_chunks() if
-                                        isinstance(a, pa.ChunkedArray) else a
-                                        for a in out_off]),
-            "polygon_id": pa.concat_arrays(out_poly),
+            "doc_id": group.column("doc_id").take(sel),
+            "offset": group.column("offset").take(sel),
+            "polygon_id": pa.array(ids_arr[hit], type=pa.string()),
         })
 
     return both.groupby("key").map_groups(refine, batch_format="pyarrow")

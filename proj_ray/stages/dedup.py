@@ -513,6 +513,40 @@ def minhash_lsh_pairs(docs_ds, jaccard_threshold: float = 0.8):
         jaccard_threshold)
 
 
+def _dense_pairs(ids, all_ids, all_mat, all_sz, jaccard_threshold: float):
+    """Dense-regime verify of the docs ``ids`` against every
+    strictly-later doc of the sorted packed table (``all_ids``, bitset
+    rows ``all_mat``, shingle counts ``all_sz``): arrays doc_a, doc_b,
+    jaccard of the pairs at or above the threshold.  A doc without
+    shingles is skipped: with another such doc its Jaccard is 0/0."""
+    from proj_ray.stages.hashing import popcount64
+
+    words = all_mat.shape[1]
+    out_a, out_b, out_j = [], [], []
+    for a in np.searchsorted(all_ids, ids):
+        sza = all_sz[a]
+        if sza == 0:
+            continue
+        cand = np.arange(a + 1, len(all_ids))
+        szc = all_sz[cand]
+        cand = cand[np.minimum(sza, szc)
+                    >= jaccard_threshold * np.maximum(sza, szc)]
+        if not len(cand):
+            continue
+        inter = popcount64(all_mat[cand] & all_mat[a]) \
+            .reshape(len(cand), words).sum(axis=1)
+        jac = inter / (sza + all_sz[cand] - inter)
+        keep = jac >= jaccard_threshold
+        out_a.append(np.full(int(keep.sum()), all_ids[a], dtype=np.int64))
+        out_b.append(all_ids[cand[keep]])
+        out_j.append(jac[keep])
+    if not out_a:
+        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+                np.empty(0, dtype=np.float64))
+    return (np.concatenate(out_a), np.concatenate(out_b),
+            np.concatenate(out_j))
+
+
 def ngram_jaccard_pairs(docs_ds, jaccard_threshold: float = 0.8,
                         ngram: int = 4):
     """DETERMINISTICALLY COMPLETE n-gram Jaccard similarity join:
@@ -797,42 +831,12 @@ def ngram_jaccard_pairs(docs_ds, jaccard_threshold: float = 0.8,
         # once: a doc lives in one sigs row, and a row only pairs
         # with strictly-later docs in the broadcast order.
         def all_pairs_dense(t: pa.Table) -> pa.Table:
-            from proj_ray.stages.hashing import popcount64
-
-            empty = pa.table({"doc_a": pa.array([], type=pa.int64()),
-                              "doc_b": pa.array([], type=pa.int64()),
-                              "jaccard": pa.array([], type=pa.float64())})
             ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-            if len(ids) == 0:
-                return empty
-            all_ids, all_mat, all_sz = get_broadcast(pack_ref)
-            ra = np.searchsorted(all_ids, ids)
-            out_a, out_b, out_j = [], [], []
-            for a in ra:
-                cand = np.arange(a + 1, len(all_ids))
-                if not len(cand):
-                    continue
-                sza, szc = all_sz[a], all_sz[cand]
-                ok = np.minimum(sza, szc) \
-                    >= jaccard_threshold * np.maximum(sza, szc)
-                cand = cand[ok]
-                if not len(cand):
-                    continue
-                inter = popcount64(all_mat[cand] & all_mat[a]) \
-                    .reshape(len(cand), words).sum(axis=1)
-                jac = inter / (sza + all_sz[cand] - inter)
-                keep = jac >= jaccard_threshold
-                if keep.any():
-                    out_a.append(np.full(int(keep.sum()),
-                                         all_ids[a], dtype=np.int64))
-                    out_b.append(all_ids[cand[keep]])
-                    out_j.append(jac[keep])
-            if not out_a:
-                return empty
-            return pa.table({
-                "doc_a": pa.array(np.concatenate(out_a)),
-                "doc_b": pa.array(np.concatenate(out_b)),
-                "jaccard": pa.array(np.concatenate(out_j))})
+            a, b, j = _dense_pairs(ids, *get_broadcast(pack_ref),
+                                   jaccard_threshold)
+            return pa.table({"doc_a": pa.array(a, type=pa.int64()),
+                             "doc_b": pa.array(b, type=pa.int64()),
+                             "jaccard": pa.array(j, type=pa.float64())})
 
         verified = sigs.map_batches(all_pairs_dense,
                                     batch_format="pyarrow")

@@ -223,3 +223,49 @@ def test_missing_files_names_only_absent_files(tmp_path):
     # datum expansion: +datum=potsdam names @BETA2007.gsb
     beta = [] if resolve_grid_path("BETA2007.gsb") else ["BETA2007.gsb"]
     assert missing_files("+proj=longlat +datum=potsdam") == beta
+
+
+def test_proj_data_search_path(tmp_path, monkeypatch):
+    """PROJ_DATA directories are searched before the reference's data
+    tree, with the test-suite renames and the ``tests/`` subdirectory
+    in each of them."""
+    import os
+
+    from proj_ray.ops.base import ProjError
+    from proj_ray.ops.gridshift import (data_dirs, missing_files,
+                                        resolve_grid_path)
+
+    defn = "+proj=hgridshift +grids=BETA2007.gsb"
+    monkeypatch.delenv("PROJ_DATA", raising=False)
+    if resolve_grid_path("BETA2007.gsb") is None:
+        assert missing_files(defn) == ["BETA2007.gsb"]
+        with pytest.raises(ProjError):
+            create_operation(defn)
+
+    lat_g, lon_g = np.meshgrid(47.0 + 0.1 * np.arange(81),
+                               5.5 + 0.1 * np.arange(101), indexing="ij")
+    _write_beta2007_shaped_gsb(
+        str(tmp_path / "BETA2007.gsb"),
+        2.0 + 0.5 * np.sin(np.radians(lat_g * 3)),
+        -1.5 + 0.4 * np.cos(np.radians(lon_g * 2)))
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "egm96_15_downsampled.gtx").write_bytes(b"")
+    (tmp_path / "tests" / "model.json").write_text("{}")
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    monkeypatch.setenv("PROJ_DATA",
+                       os.pathsep.join([str(empty), str(tmp_path)]))
+    assert data_dirs()[:2] == [str(empty), str(tmp_path)]
+    assert missing_files(defn) == []
+    assert missing_files("+proj=longlat +datum=potsdam") == []
+    assert missing_files("+proj=tinshift +file=model.json") == []
+    assert resolve_grid_path("egm96_15.gtx") == str(
+        tmp_path / "tests" / "egm96_15_downsampled.gtx")
+
+    rng = np.random.default_rng(11)
+    lon = rng.uniform(6.0, 15.0, 20)
+    lat = rng.uniform(47.5, 54.5, 20)
+    out = transform_arrays(create_operation(defn), lon, lat)
+    assert (out.err == 0).all()
+    shift = np.hypot(out.x - lon, out.y - lat) * 3600.0
+    assert (shift > 0.5).all() and (shift < 4.0).all()

@@ -30,7 +30,8 @@ from proj_ray.spatial.knn import (
     knn_cell_ring,
     make_queries,
 )
-from proj_ray.spatial.pip import make_polygons, make_rects, \
+from proj_ray.spatial import pip
+from proj_ray.spatial.pip import PolygonIndex, make_polygons, make_rects, \
     points_in_polygon, sql_rects_cte
 from proj_ray.spatial.tiles import sql_tile_exprs, tile_xy
 
@@ -179,6 +180,126 @@ def test_shuffle_pip_join_matches_broadcast(ray_session, coords_ds, coords):
     out2 = shuffle_pip_join(coords_ds, polys, salt=salt).to_pandas()
     got2 = set(zip(out2["doc_id"], out2["offset"], out2["polygon_id"]))
     assert got2 == want
+
+
+# ---- PolygonIndex.query_batch against brute force over every polygon ----
+
+
+def _probe_pairs(index, lon, lat):
+    pts, polys = index.query_batch(lon, lat)
+    got = list(zip(pts.tolist(), polys.tolist()))
+    assert len(got) == len(set(got))  # each pair once
+    return set(got)
+
+
+def _brute_pairs(lon, lat, polygons):
+    # horizontal edges divide by zero in the scalar test (masked out)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return {(int(i), pi) for pi, ring in enumerate(polygons["rings"])
+                for i in np.flatnonzero(points_in_polygon(lon, lat, ring))}
+
+
+@pytest.mark.parametrize("n_poly", [48, 64])
+def test_probe_matches_brute_on_corpus(coords, n_poly):
+    polys = make_polygons(n_poly)
+    assert {len(r) for r in polys["rings"]} == set(range(5, 13))
+    want = _brute_pairs(coords["lon"], coords["lat"], polys)
+    got = _probe_pairs(PolygonIndex(polys, 5.0), coords["lon"],
+                       coords["lat"])
+    assert got == want
+    assert len(want) > 50
+
+
+def test_probe_matches_brute_on_vertices_and_edges():
+    """Points exactly on vertices, on horizontal edges and on edge
+    midpoints take the same side of the half-open rule as the scalar
+    test."""
+    rings = [
+        np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]]),
+        # non-convex U with horizontal edges at three heights
+        np.array([[20.0, 0.0], [35.0, 0.0], [35.0, 12.0], [30.0, 12.0],
+                  [30.0, 5.0], [25.0, 5.0], [25.0, 12.0], [20.0, 12.0]]),
+        np.array([[-40.0, -20.0], [-5.0, -20.0], [-22.5, 15.0]]),
+    ] + make_polygons(16, seed=99)["rings"]
+    polys = {"polygon_id": [f"p{i}" for i in range(len(rings))],
+             "rings": rings}
+    lon, lat = [], []
+    for ring in rings:
+        nxt = np.roll(ring, -1, axis=0)
+        for t in (0.0, 0.25, 0.5, 0.75):
+            pt = ring + t * (nxt - ring)
+            lon.extend(pt[:, 0])
+            lat.extend(pt[:, 1])
+        # every vertex abscissa at every vertex ordinate, and one ulp
+        # to either side in each axis
+        gx, gy = np.meshgrid(ring[:, 0], ring[:, 1])
+        for dx in (-np.inf, 0.0, np.inf):
+            for dy in (-np.inf, 0.0, np.inf):
+                lon.extend(np.nextafter(gx.ravel(), gx.ravel() + dx))
+                lat.extend(np.nextafter(gy.ravel(), gy.ravel() + dy))
+    lon, lat = np.array(lon), np.array(lat)
+    index = PolygonIndex(polys, 5.0)
+    want = _brute_pairs(lon, lat, polys)
+    assert _probe_pairs(index, lon, lat) == want
+    # the fixture has boundary points on both sides of the rule
+    on_square = {i for i, p in want if p == 0}
+    assert on_square and len(on_square) < np.sum(
+        (lon >= 0) & (lon <= 10) & (lat >= 0) & (lat <= 10))
+
+
+def test_probe_matches_brute_past_antimeridian():
+    polys = make_polygons(64)
+    wrap = [r for r in polys["rings"]
+            if r[:, 0].max() > 180.0 or r[:, 0].min() < -180.0]
+    assert wrap  # make_polygons does emit rings past +-180
+    rng = np.random.default_rng(5)
+    lon, lat = [], []
+    for r in wrap:
+        x = rng.uniform(r[:, 0].min(), r[:, 0].max(), 2000)
+        y = rng.uniform(r[:, 1].min(), r[:, 1].max(), 2000)
+        # points on the ring's side of the antimeridian and their images
+        x = np.concatenate([x, x - 360.0, x + 360.0])
+        y = np.tile(y, 3)
+        ok = (x >= -180.0) & (x <= 180.0)
+        lon.extend(x[ok])
+        lat.extend(y[ok])
+    lon, lat = np.array(lon), np.array(lat)
+    want = _brute_pairs(lon, lat, polys)
+    assert _probe_pairs(PolygonIndex(polys, 5.0), lon, lat) == want
+    assert want
+
+
+def test_probe_empty_batch_and_no_candidate_cells():
+    index = PolygonIndex(make_polygons(48), 5.0)
+    pts, polys = index.query_batch(np.empty(0), np.empty(0))
+    assert len(pts) == len(polys) == 0
+    assert pts.dtype == polys.dtype == np.int64
+    small = {"polygon_id": ["only"],
+             "rings": [np.array([[1.0, 1.0], [2.0, 1.0], [1.5, 2.0]])]}
+    lon = np.array([-120.0, 60.0, 150.0, 1.5])
+    lat = np.array([40.0, -30.0, 80.0, -60.0])
+    pts, polys = PolygonIndex(small, 5.0).query_batch(lon, lat)
+    assert len(pts) == len(polys) == 0
+
+
+def test_probe_matches_brute_across_chunks(coords, monkeypatch):
+    """A batch with many more candidate pairs than one chunk holds."""
+    polys = make_polygons(64)
+    want = _brute_pairs(coords["lon"], coords["lat"], polys)
+    chunks = []
+    real = pip._point_chunks
+
+    def counted(cnt):
+        for lo_hi in real(cnt):
+            chunks.append(lo_hi)
+            yield lo_hi
+
+    monkeypatch.setattr(pip, "_PAIR_CHUNK", 31)
+    monkeypatch.setattr(pip, "_point_chunks", counted)
+    got = _probe_pairs(PolygonIndex(polys, 5.0), coords["lon"],
+                       coords["lat"])
+    assert got == want
+    assert len(chunks) > 10
 
 
 def test_skew_detection(ray_session, coords_ds):
