@@ -142,11 +142,19 @@ def make_doc_batch(doc_ids: np.ndarray) -> pa.Table:
     return pa.table({"doc_id": doc_id_str, "spans": spans})
 
 
-def doc_dataset(n_docs: int, parallelism: int = 32):
+def doc_dataset(n_docs: int, parallelism: int = -1):
     """A lazy ray.data.Dataset of the interleaved doc table (n_docs rows).
 
     Generation happens inside map_batches tasks — the driver never
     materializes the table, so this scales to any n_docs.
+
+    `parallelism` is the block count of the doc-id range.  The default
+    -1 is Ray Data's read autodetection, which sizes the range from the
+    cluster: max(min(200, id_bytes / 1 MiB), id_bytes / 128 MiB,
+    2 x available CPUs) blocks of 8-byte ids, rounded up by the range's
+    remainder block.  On 1 CPU that is 2 blocks for 125k docs, 8 for 1M
+    and 77 for 10M; a 32-CPU cluster gets at least 64.  A positive int
+    pins the block count.
     """
     import ray.data as rd
 

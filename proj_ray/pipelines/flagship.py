@@ -114,8 +114,14 @@ def _tile_partials(docs, zoom: int, n_polygons: int):
 
 
 def flagship(sf_dir: str = None, n_docs: int = None, zoom: int = 8,
-             n_polygons: int = 64, parallelism: int = 32):
-    """Run the flagship pipeline; returns the per-tile summary Dataset."""
+             n_polygons: int = 64, parallelism: int = -1):
+    """Run the flagship pipeline; returns the per-tile summary Dataset.
+
+    `parallelism` is the block count of the synthetic doc source
+    (`doc_dataset`).  The default -1 is Ray Data's read autodetection:
+    max(min(200, id_bytes / 1 MiB), id_bytes / 128 MiB, 2 x available
+    CPUs) blocks, which on 1 CPU is 2 blocks for 125k docs, 8 for 1M
+    and 77 for 10M.  A positive int pins the block count."""
     from proj_ray.stages.agg import tree_aggregate
 
     if n_docs is not None:

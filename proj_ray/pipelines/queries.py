@@ -3717,7 +3717,7 @@ def q_embedding_near_dup(sf_dir: str):
     from proj_ray.stages.dedup import embedding_near_dup
 
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet")
-    return embedding_near_dup(ds, threshold=0.4, concurrency=2)
+    return embedding_near_dup(ds, threshold=0.4)
 
 
 def q_ann_ivf(sf_dir: str):

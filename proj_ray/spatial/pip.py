@@ -82,13 +82,16 @@ def points_in_polygon(lon, lat, ring: np.ndarray) -> np.ndarray:
     n = len(ring)
     inside = np.zeros(x.shape, dtype=bool)
     j = n - 1
-    for i in range(n):
-        xi, yi = vx[i], vy[i]
-        xj, yj = vx[j], vy[j]
-        cond = ((yi > y) != (yj > y)) & (
-            x < (xj - xi) * (y - yi) / (yj - yi) + xi)
-        inside ^= cond
-        j = i
+    # a horizontal edge divides by zero; its straddle test is False, so
+    # the inf/nan it yields never reaches `inside`
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(n):
+            xi, yi = vx[i], vy[i]
+            xj, yj = vx[j], vy[j]
+            cond = ((yi > y) != (yj > y)) & (
+                x < (xj - xi) * (y - yi) / (yj - yi) + xi)
+            inside ^= cond
+            j = i
     return inside
 
 

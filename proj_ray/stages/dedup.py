@@ -814,7 +814,15 @@ def ngram_jaccard_pairs(docs_ds, jaccard_threshold: float = 0.8,
             offset=pcol.offset * words * 8).reshape(-1, words)
         sz_g = ptbl.column("nsh").to_numpy(zero_copy_only=False)
         gorder = np.argsort(ids_g)
-        pack_ref = ray.put((ids_g[gorder],
+        ids_s = ids_g[gorder]
+        # the bitset scan pairs each row only with strictly-later ids
+        # in this order, so a repeated doc_id would silently mis-pair
+        dup = np.flatnonzero(ids_s[1:] == ids_s[:-1])
+        if len(dup):
+            raise ValueError(
+                f"repeated doc_id {ids_s[dup[0]]!r} in the dense "
+                "near-dup input: doc_id must be unique")
+        pack_ref = ray.put((ids_s,
                             np.ascontiguousarray(mat_g[gorder]),
                             sz_g[gorder]))
 
@@ -1100,8 +1108,7 @@ def _hyperplanes(dim: int, n_bands: int, band_bits: int,
     return planes
 
 
-def embedding_near_dup(emb_ds, threshold: float = 0.95,
-                       concurrency: int = 0, seed: int = 5,
+def embedding_near_dup(emb_ds, threshold: float = 0.95, seed: int = 5,
                        num_parts: int | None = None):
     """Cosine near-duplicate pairs via hyperplane-LSH bucketing.
 
@@ -1113,11 +1120,7 @@ def embedding_near_dup(emb_ds, threshold: float = 0.95,
     cosine runs per equal-(band,key) run inside each partition, and a
     final small aggregate dedupes pairs found by several bands.  No
     whole-corpus broadcast or driver materialization; recall at the
-    threshold boundary is ~99% by construction (auto_lsh_params).
-
-    `concurrency` is accepted for API compatibility and ignored: the
-    banding stage is a stateless task pool (planes are derived
-    deterministically from the seed and cached per worker)."""
+    threshold boundary is ~99% by construction (auto_lsh_params)."""
     from proj_ray.stages.agg import hash_shuffle_aggregate
     from proj_ray.stages.partitioning import derive_num_partitions
 

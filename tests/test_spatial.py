@@ -384,3 +384,21 @@ def test_isea_hex_cells_equal_area_and_containment(ray_session):
         cc = collections.Counter(cells[m])
         rates.append(np.mean(list(cc.values())))
     assert max(rates) / min(rates) < 1.4
+
+
+def test_points_in_polygon_horizontal_edge_is_silent():
+    """A horizontal edge divides by zero in the crossing test; the
+    result must not change and no RuntimeWarning may escape."""
+    import warnings
+
+    from proj_ray.spatial.pip import points_in_polygon
+
+    ring = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 3.0], [2.0, 3.0],
+                     [0.0, 2.0]])
+    lon = np.array([1.0, 2.0, 3.0, 5.0, 2.0, 0.0, 3.9])
+    lat = np.array([1.0, 0.0, 3.0, 1.0, -1.0, 0.0, 2.9])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = points_in_polygon(lon, lat, ring)
+    assert np.array_equal(got, points_in_polygon(lon, lat, ring))
+    assert got.tolist() == [True, True, False, False, False, True, True]
