@@ -198,10 +198,22 @@ class Datum:
     ellipsoid: Ellipsoid
     towgs84: Optional[List[float]] = None
     # NTv2 lat/lon difference grid (BOUNDCRS PARAMETERFILE / proj
-    # +nadgrids); mutually exclusive with towgs84 on one datum
+    # +nadgrids); takes precedence over towgs84, see shift_kind()
     nadgrids: Optional[str] = None
     prime_meridian_deg: float = 0.0
     prime_meridian_name: str = "Greenwich"
+
+    def shift_kind(self) -> Optional[str]:
+        """The shift to WGS84 this datum applies: "nadgrids", "towgs84"
+        or None.  As in the operation layer (ops/base.py datum helpers),
+        a grid takes precedence over towgs84, except "@null", which
+        applies no grid there; every export follows this choice."""
+        if self.nadgrids is not None and (self.towgs84 is None
+                                          or self.nadgrids != "@null"):
+            return "nadgrids"
+        if self.towgs84 is not None:
+            return "towgs84"
+        return None
 
 
 @dataclass
@@ -293,10 +305,11 @@ class CRS:
         tokens.extend(d.ellipsoid.proj_tokens())
         if d.prime_meridian_deg:
             tokens.append(f"pm={_fmt_num(d.prime_meridian_deg)}")
-        if d.towgs84 is not None:
+        shift = d.shift_kind()
+        if shift == "towgs84":
             tokens.append("towgs84=" + ",".join(_fmt_num(v)
                                                 for v in d.towgs84))
-        elif d.nadgrids is not None:
+        elif shift == "nadgrids":
             tokens.append(f"nadgrids={d.nadgrids}")
         if self.kind in ("projected", "geocentric"):
             if abs(self.unit_to_meter - 1.0) < 1e-12:
@@ -388,7 +401,8 @@ class CRS:
             raise ProjError(f"to_projjson: unsupported kind {self.kind}")
         out["$schema"] = ("https://proj.org/schemas/v0.7/projjson.schema"
                           ".json")
-        if d.towgs84 is not None:
+        shift = d.shift_kind()
+        if shift == "towgs84":
             # PROJJSON models ball-park datum info as a BoundCRS
             out = {
                 "$schema": out.pop("$schema"),
@@ -402,7 +416,7 @@ class CRS:
                     "parameters": _towgs84_projjson(d.towgs84),
                 },
             }
-        elif d.nadgrids is not None:
+        elif shift == "nadgrids":
             out = {
                 "$schema": out.pop("$schema"),
                 "type": "BoundCRS",
@@ -480,17 +494,18 @@ _WGS84_TARGET_WKT = (
 
 
 def _maybe_bound(crs: CRS, inner: str) -> str:
-    tw = crs.datum.towgs84
-    if tw is None:
-        if crs.datum.nadgrids is not None:
-            return (f'BOUNDCRS[SOURCECRS[{inner}],'
-                    f'{_WGS84_TARGET_WKT},'
-                    f'ABRIDGEDTRANSFORMATION['
-                    f'"Transformation from {crs.datum.name} to WGS84",'
-                    f'METHOD["NTv2",ID["EPSG",9615]],'
-                    f'PARAMETERFILE["Latitude and longitude difference '
-                    f'file","{crs.datum.nadgrids}"]]]')
+    shift = crs.datum.shift_kind()
+    if shift is None:
         return inner
+    if shift == "nadgrids":
+        return (f'BOUNDCRS[SOURCECRS[{inner}],'
+                f'{_WGS84_TARGET_WKT},'
+                f'ABRIDGEDTRANSFORMATION['
+                f'"Transformation from {crs.datum.name} to WGS84",'
+                f'METHOD["NTv2",ID["EPSG",9615]],'
+                f'PARAMETERFILE["Latitude and longitude difference '
+                f'file","{crs.datum.nadgrids}"]]]')
+    tw = crs.datum.towgs84
     tw7 = list(tw) + [0.0] * (7 - len(tw))
     names = ["X-axis translation", "Y-axis translation",
              "Z-axis translation", "X-axis rotation", "Y-axis rotation",

@@ -66,24 +66,26 @@ def span_layout(doc_ids: np.ndarray):
     off = np.arange(total, dtype=np.int64) - np.repeat(starts, n_spans)
     s1 = _nxt((doc_idx * 8 + off + 1) % M31)
     s2 = _nxt(s1)
-    s3 = _nxt(s2)
-    s4 = _nxt(s3)
-    k = s1 % 5
-    kind_code = np.where(k < 2, 0, np.where(k < 4, 1, 2)).astype(np.int8)
+    # s1 % 5: 0-1 text, 2-3 coord, 4 media
+    kind_code = np.array([0, 0, 1, 1, 2], dtype=np.int8)[s1 % 5]
 
-    hot = (s2 % 10) < 8
-    cell = (s2 % 5).astype(np.int64)
+    # lon/lat are derived on the coord spans only; NaN elsewhere
+    is_coord = kind_code == 1
+    c2 = s2[is_coord]
+    s3 = _nxt(c2)
+    s4 = _nxt(s3)
+    hot = (c2 % 10) < 8
+    cell = (c2 % 5).astype(np.int64)
     clon = np.array([c[0] for c in HOTSPOTS])[cell]
     clat = np.array([c[1] for c in HOTSPOTS])[cell]
     lon_hot = clon + (s3 % 2000001 - 1000000) / 1000000.0 * 2.0
     lat_hot = clat + (s4 % 2000001 - 1000000) / 1000000.0 * 1.5
     lon_uni = (s3 % 3600000) / 10000.0 - 180.0
     lat_uni = (s4 % 1798001) / 10000.0 - 89.9
-    lon = np.where(hot, lon_hot, lon_uni)
-    lat = np.where(hot, lat_hot, lat_uni)
-    is_coord = kind_code == 1
-    lon = np.where(is_coord, lon, np.nan)
-    lat = np.where(is_coord, lat, np.nan)
+    lon = np.full(total, np.nan)
+    lat = np.full(total, np.nan)
+    lon[is_coord] = np.where(hot, lon_hot, lon_uni)
+    lat[is_coord] = np.where(hot, lat_hot, lat_uni)
     return {
         "doc_idx": doc_idx,
         "offset": off.astype(np.int32),
@@ -97,48 +99,55 @@ def span_layout(doc_ids: np.ndarray):
 def make_doc_batch(doc_ids: np.ndarray) -> pa.Table:
     """Build the interleaved document table for the given integer ids.
 
-    Fully vectorized via Arrow compute; coord text uses Arrow's
-    shortest-roundtrip float formatting, so parsing the text back yields
-    the exact LCG double (verified in tests)."""
+    Fully vectorized via Arrow compute, and each string is formatted
+    only over the spans that carry it: coord `text` ("lon lat") over the
+    coord spans, text `text` ("text <s2>") over the text spans and
+    `media_ref` ("media://<s2 padded to 10>") over the media spans.  A
+    single `take` over [values..., ""] then puts each column into span
+    order, so every other span gets "".  Coord text uses Arrow's
+    shortest-roundtrip float formatting, so parsing it back yields the
+    exact LCG double (verified in tests)."""
     import pyarrow.compute as pc
 
     lay = span_layout(doc_ids)
     kind_code = lay["kind_code"]
-    s2 = pa.array(lay["s2"])
-    kinds = pc.take(pa.array(["text", "coord", "media"]),
-                    pa.array(kind_code.astype(np.int32)))
-    is_text = pa.array(kind_code == 0)
-    is_coord = pa.array(kind_code == 1)
-    is_media = pa.array(kind_code == 2)
-    lon_s = pc.cast(pa.array(np.where(kind_code == 1, lay["lon"], 0.0)),
-                    pa.string())
-    lat_s = pc.cast(pa.array(np.where(kind_code == 1, lay["lat"], 0.0)),
-                    pa.string())
-    coord_text = pc.binary_join_element_wise(lon_s, lat_s, " ")
-    text_text = pc.binary_join_element_wise(
-        pa.array(np.full(len(kind_code), "text")), pc.cast(s2, pa.string()),
-        " ")
-    empty = pa.array(np.full(len(kind_code), ""), type=pa.string())
-    texts = pc.if_else(is_coord, coord_text,
-                       pc.if_else(is_text, text_text, empty))
-    media = pc.if_else(
-        is_media,
-        pc.binary_join_element_wise(
-            pa.array(np.full(len(kind_code), "media://")),
-            pc.utf8_lpad(pc.cast(s2, pa.string()), 10, "0"), ""),
-        empty)
+    s2 = lay["s2"]
+    text_i = np.flatnonzero(kind_code == 0)
+    coord_i = np.flatnonzero(kind_code == 1)
+    media_i = np.flatnonzero(kind_code == 2)
+
+    def fmt(values) -> pa.Array:
+        return pc.cast(pa.array(values), pa.string())
+
+    text_text = pc.binary_join_element_wise("text", fmt(s2[text_i]), " ")
+    coord_text = pc.binary_join_element_wise(
+        fmt(lay["lon"][coord_i]), fmt(lay["lat"][coord_i]), " ")
+    media_ref = pc.binary_join_element_wise(
+        "media://", pc.utf8_lpad(fmt(s2[media_i]), 10, "0"), "")
+    empty = pa.array([""])
+
+    # texts: [text_text, coord_text, ""]; media: [media_ref, ""]
+    n_text, n_coord, n_media = len(text_i), len(coord_i), len(media_i)
+    text_pos = np.full(len(kind_code), n_text + n_coord, dtype=np.int32)
+    text_pos[text_i] = np.arange(n_text, dtype=np.int32)
+    text_pos[coord_i] = np.arange(n_text, n_text + n_coord, dtype=np.int32)
+    media_pos = np.full(len(kind_code), n_media, dtype=np.int32)
+    media_pos[media_i] = np.arange(n_media, dtype=np.int32)
+    texts = pa.concat_arrays([text_text, coord_text, empty]).take(text_pos)
+    media = pa.concat_arrays([media_ref, empty]).take(media_pos)
+    kinds = pa.array(["text", "coord", "media"]).take(kind_code)
 
     flat = pa.StructArray.from_arrays(
         [kinds, texts, media, pa.array(lay["offset"], type=pa.int32())],
         fields=list(SPAN_TYPE),
     )
-    d = np.asarray(doc_ids, dtype=np.int64)
-    n_spans = 1 + (_nxt(d % M31 + 1) % 6)
-    offsets = np.concatenate([[0], np.cumsum(n_spans)]).astype(np.int32)
+    # every doc has at least one span, and its spans start at offset 0
+    offsets = np.append(np.flatnonzero(lay["offset"] == 0),
+                        len(kind_code)).astype(np.int32)
     spans = pa.ListArray.from_arrays(pa.array(offsets), flat)
+    d = fmt(np.asarray(doc_ids, dtype=np.int64))
     doc_id_str = pc.binary_join_element_wise(
-        pa.array(np.full(len(d), "doc-")),
-        pc.utf8_lpad(pc.cast(pa.array(d), pa.string()), 12, "0"), "")
+        "doc-", pc.utf8_lpad(d, 12, "0"), "")
     return pa.table({"doc_id": doc_id_str, "spans": spans})
 
 

@@ -80,10 +80,10 @@ _MAX_LEVEL = 30
 
 def _uv_to_st(u):
     """Quadratic UV->ST (the standard S2 quadratic transform; same family
-    as reference s2.cpp:92-130)."""
-    return np.where(u >= 0,
-                    0.5 * np.sqrt(1 + 3 * u),
-                    1 - 0.5 * np.sqrt(1 - 3 * u))
+    as reference s2.cpp:92-130).  One sqrt of 1 + 3|u| serves both
+    branches, so neither takes a negative argument."""
+    r = 0.5 * np.sqrt(1 + 3 * np.abs(u))
+    return np.where(u >= 0, r, 1 - r)
 
 
 def _st_to_uv(s):

@@ -763,6 +763,54 @@ def test_boundcrs_ntv2_roundtrips_wkt_and_projjson():
     assert back3.datum.nadgrids == "BETA2007.gsb"
 
 
+TOWGS84_AND_NADGRIDS = ("+proj=longlat +ellps=GRS80 +towgs84=100,200,300 "
+                        "+nadgrids=@foo.gsb")
+
+
+def test_nadgrids_takes_precedence_over_towgs84_in_every_export():
+    """The operation layer applies a datum's grid, not its towgs84, when
+    both are given; every export must carry the grid so a round trip
+    keeps the transform."""
+    from proj_ray.crs import _crs_from_proj_string
+
+    crs = _crs_from_proj_string(TOWGS84_AND_NADGRIDS)
+    proj = crs.to_proj_string()
+    assert "nadgrids=@foo.gsb" in proj and "towgs84" not in proj
+    pj = crs.to_projjson()
+    assert pj["type"] == "BoundCRS"
+    assert pj["transformation"]["method"]["name"] == "NTv2"
+    assert pj["transformation"]["parameters"][0]["value"] == "@foo.gsb"
+    wkt = crs.to_wkt()
+    assert 'METHOD["NTv2"' in wkt and '"@foo.gsb"' in wkt
+    assert "Position Vector" not in wkt
+    for back in (_crs_from_proj_string(proj), CRS.from_projjson(pj),
+                 CRS.from_wkt(wkt)):
+        assert back.datum.shift_kind() == "nadgrids"
+        assert back.datum.nadgrids == "@foo.gsb"
+    # "@null" applies no grid in the operation layer, so towgs84 stays
+    null = _crs_from_proj_string("+proj=longlat +ellps=GRS80 "
+                                 "+towgs84=100,200,300 +nadgrids=@null")
+    assert "towgs84=100,200,300" in null.to_proj_string()
+
+
+def test_towgs84_and_nadgrids_export_roundtrip_keeps_transform():
+    from proj_ray.crs import _crs_from_proj_string
+
+    lon, lat = np.array([10.0, 20.0]), np.array([50.0, -30.0])
+    z, t = np.zeros(2), np.zeros(2)
+
+    def run(defn):
+        c = transform_arrays(create_operation(defn), lon, lat, z, t)
+        return np.stack([c.x, c.y, c.z])
+
+    want = run(TOWGS84_AND_NADGRIDS)
+    got = run(_crs_from_proj_string(TOWGS84_AND_NADGRIDS).to_proj_string())
+    assert np.array_equal(got, want)
+    # the towgs84 form alone would move the points
+    assert not np.allclose(
+        run("+proj=longlat +ellps=GRS80 +towgs84=100,200,300"), want)
+
+
 def test_boundcrs_unsupported_parameterfile_is_loud():
     wkt = BOUNDCRS_DHDN_NTV2.replace(
         "Latitude and longitude difference file",

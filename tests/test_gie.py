@@ -102,3 +102,38 @@ def test_extract_require_grid_skips_block_if_any_grid_missing(
     cases, drops = extract(str(gie), "t.gie")
     assert drops == {"require_grid": 1}
     assert [c["case_id"] for c in cases] == ["t.gie:11"]
+
+
+def _extract_gie_tool():
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(__file__), "..", "tools",
+                        "extract_gie.py")
+    spec = importlib.util.spec_from_file_location("extract_gie", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod, path
+
+
+def test_extract_gie_missing_reference_is_one_line(tmp_path):
+    import subprocess
+    import sys
+
+    _, path = _extract_gie_tool()
+    missing = str(tmp_path / "no-such-dir")
+    r = subprocess.run([sys.executable, path, "--ref", missing],
+                       capture_output=True, text=True)
+    assert r.returncode != 0
+    assert r.stdout == ""
+    assert r.stderr.strip().splitlines() == [
+        f"extract_gie: no reference test directory; searched: {missing}"]
+
+
+def test_extract_gie_reference_search_order(monkeypatch):
+    mod, _ = _extract_gie_tool()
+    assert mod.ref_candidates("/x/test") == ["/x/test"]
+    monkeypatch.delenv("PROJ_REFERENCE", raising=False)
+    assert mod.ref_candidates() == [mod.REF]
+    monkeypatch.setenv("PROJ_REFERENCE", "proj-src")
+    assert mod.ref_candidates() == [os.path.join("proj-src", "test"),
+                                    mod.REF]

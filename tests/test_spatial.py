@@ -128,6 +128,28 @@ def test_s2_cell_hierarchy():
     assert c4a[0] == c4b[0]
 
 
+def test_uv_to_st_matches_two_branch_form():
+    from proj_ray.spatial.cells import _uv_to_st
+
+    u = np.concatenate([np.linspace(-1.0, 1.0, 200001),
+                        [-0.0, 0.0, -1 / 3, 1 / 3]])
+    with np.errstate(invalid="ignore"):
+        two_branch = np.where(u >= 0,
+                              0.5 * np.sqrt(1 + 3 * u),
+                              1 - 0.5 * np.sqrt(1 - 3 * u))
+    assert np.array_equal(_uv_to_st(u), two_branch)
+
+
+def test_s2_cell_is_silent():
+    import warnings
+
+    lon = np.linspace(-180.0, 180.0, 721)
+    lat = np.linspace(-89.9, 89.9, 721)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s2_cell(lon, lat, 12)
+
+
 def test_tiles_sql(coords):
     con = duckdb.connect()
     con.execute("CREATE TABLE documents AS SELECT * FROM range(%d) t(doc_id)"

@@ -10,11 +10,16 @@ content only (operation string, accept/expect coordinates, tolerances,
 roundtrips) — the fixture is DATA, the interpreter lives in
 tests/gie_runner.py.
 
-Usage: python tools/extract_gie.py
+Usage: python tools/extract_gie.py [--ref DIR]
+
+DIR is the reference's test directory (holding gie/ and gigs/).  It
+defaults to $PROJ_REFERENCE/test, then REF below; with none present the
+tool exits non-zero naming the searched paths.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import re
@@ -338,11 +343,28 @@ DROPPED = os.path.join(os.path.dirname(__file__), "..", "tests", "data",
                        "gie_dropped.json")
 
 
-def main():
+def ref_candidates(ref: str | None = None) -> list:
+    """Reference test directories to search, in order."""
+    if ref:
+        return [ref]
+    env = os.environ.get("PROJ_REFERENCE")
+    return ([os.path.join(env, "test")] if env else []) + [REF]
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--ref", metavar="DIR",
+                    help="reference test directory (default: "
+                    f"$PROJ_REFERENCE/test, then {REF})")
+    searched = ref_candidates(ap.parse_args(argv).ref)
+    ref = next((d for d in searched if os.path.isdir(d)), None)
+    if ref is None:
+        sys.exit("extract_gie: no reference test directory; searched: "
+                 + ", ".join(searched))
     all_cases = []
     all_drops = {}
     for rel in FILES:
-        path = os.path.join(REF, rel)
+        path = os.path.join(ref, rel)
         if not os.path.exists(path):
             print(f"missing {path}", file=sys.stderr)
             continue
