@@ -212,3 +212,33 @@ def test_keyed_ntile_matches_sql_semantics():
     want = df.groupby("k", group_keys=False).apply(ref_ntile) \
         .sort_values("rid").reset_index(drop=True)
     assert (out["tile_no"].to_numpy() == want["want"].to_numpy()).all()
+
+
+def test_keyed_string_agg_matches_pandas(ray_session):
+    """string_agg(value, sep ORDER BY time) per key, timestamp ties
+    broken by `tiebreak`, against a pandas groupby join."""
+    import ray.data as rd
+
+    from proj_ray.stages.windows import keyed_string_agg
+
+    rng = np.random.default_rng(21)
+    n = 600
+    df = pd.DataFrame({
+        "rid": np.arange(n, dtype=np.int64),
+        "k": rng.integers(0, 25, n),
+        "t": rng.integers(0, 40, n),          # plenty of time ties
+        "w": [f"w{i}" for i in rng.integers(0, 1000, n)],
+    })
+    out = keyed_string_agg(rd.from_pandas(df).repartition(4), key="k",
+                           time="t", value_col="w", sep="|",
+                           num_partitions=5, tiebreak="rid").to_pandas() \
+        .sort_values("k").reset_index(drop=True)
+    want = df.sort_values(["k", "t", "rid"]).groupby("k")["w"] \
+        .apply("|".join).reset_index(name="agg")
+    assert out["k"].tolist() == want["k"].tolist()
+    assert out["agg"].tolist() == want["agg"].tolist()
+
+    empty = keyed_string_agg(rd.from_pandas(df.iloc[:0]), key="k",
+                             time="t", value_col="w", num_partitions=5,
+                             tiebreak="rid").to_pandas()
+    assert len(empty) == 0
