@@ -214,7 +214,8 @@ def resumable_corpus_curation(sf_dir: str, root: str,
                                      tree_aggregate)
     from proj_ray.stages.relational import copartition_agg_join
     from proj_ray.stages.sampling import hash_split
-    from proj_ray.stages.text import _tok_part, benchmark_ngram_set
+    from proj_ray.stages.partitioning import keyed_apply
+    from proj_ray.stages.text import benchmark_ngram_set
     from proj_ray.state.checkpoint import CheckpointWriter
 
     # benchmark n-gram set: bounded driver pull, gated exactly like
@@ -303,13 +304,7 @@ def resumable_corpus_curation(sf_dir: str, root: str,
     doc_rows = rd.read_parquet(_paths("doctok")) \
         .select_columns(["tok", "doc_id", "m"])
 
-    def add_part(t: pa.Table) -> pa.Table:
-        tok = t.column("tok").to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "__part", pa.array(_tok_part(tok, num_buckets)))
-
     def resolve(t: pa.Table) -> pa.Table:
-        t = t.drop_columns(["__part"])
         doc = t.column("doc_id").to_numpy(zero_copy_only=False)
         tok = t.column("tok").to_numpy(zero_copy_only=False)
         m = t.column("m").to_numpy(zero_copy_only=False)
@@ -327,9 +322,8 @@ def resumable_corpus_curation(sf_dir: str, root: str,
         return combine_block(out, ["doc_id"],
                              [("s", "sum"), ("n", "sum")])
 
-    partials = count_rows.union(doc_rows) \
-        .map_batches(add_part, batch_format="pyarrow") \
-        .groupby("__part").map_groups(resolve, batch_format="pyarrow")
+    partials = keyed_apply(count_rows.union(doc_rows), "tok", resolve,
+                           num_buckets)
 
     kept_ds = rd.read_parquet(_paths("kept"))
     joined = copartition_agg_join(kept_ds, partials, on="doc_id",

@@ -26,39 +26,23 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from proj_ray.stages.partitioning import key_spans, keyed_apply
+
 # authalic (equal-area) sphere radius for WGS84 — published constant
 R_AUTHALIC_WGS84 = 6371007.1809
 
 
-def _part(vals: np.ndarray, n: int) -> np.ndarray:
-    h = (vals.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) \
-        >> np.uint64(64 - 16)
-    return (h % np.uint64(n)).astype(np.int64)
+def _np(t: pa.Table, col: str) -> np.ndarray:
+    return t.column(col).to_numpy(zero_copy_only=False)
 
 
-def _bucket_key(t: pa.Table, key: str, nparts: int) -> np.ndarray:
-    """Deterministic partition bucket for the key column.  Non-integer
-    keys go through the repo's vectorized crc_bucket — Python hash()
-    is salted per worker process, so it would assign the same key to
-    different __part values in different batches and split one
-    geometry's vertices across groupby groups."""
-    k = t.column(key).to_numpy(zero_copy_only=False)
-    if k.dtype.kind in "iu":
-        return _part(k, nparts)
-    from proj_ray.stages.agg import crc_bucket
-
-    return crc_bucket(t.column(key), nparts)
-
-
-def _key_spans(k_sorted: np.ndarray):
-    """Start indices + counts of each key run in a sorted key array."""
-    n = len(k_sorted)
-    first = np.empty(n, dtype=bool)
-    first[0] = True
-    first[1:] = k_sorted[1:] != k_sorted[:-1]
-    starts = np.flatnonzero(first)
-    counts = np.diff(np.append(starts, n))
-    return starts, counts
+def _per_ring(t: pa.Table, key: str, starts, counts, **cols) -> pa.Table:
+    """One output row per key run: the key, `cols` (float64) and the
+    run length as n_vertices."""
+    return pa.table({
+        key: t.column(key).take(pa.array(starts, type=pa.int64())),
+        **{c: pa.array(v, type=pa.float64()) for c, v in cols.items()},
+        "n_vertices": pa.array(counts, type=pa.int64())})
 
 
 def shoelace_area_centroid(x: np.ndarray, y: np.ndarray,
@@ -102,43 +86,18 @@ def polygon_area_centroid(ds, key: str = "polygon_id",
                           num_partitions: int | None = None):
     """Planar polygon area + centroid from a vertex Dataset.
 
-    One hash-partition shuffle on the key; each partition lexsorts its
-    slice once and runs the multi-ring shoelace above.  Output: one row
+    One hash-partition shuffle on the key; each partition, sorted by
+    (key, seq), runs the multi-ring shoelace above.  Output: one row
     per polygon ``(key, area, cx, cy, n_vertices)`` with area SIGNED
     (positive = counter-clockwise ring, the Gauss convention).
     """
-    from proj_ray.stages.partitioning import derive_num_partitions
-
-    nparts = num_partitions or derive_num_partitions(ds, default=32)
-
-    def add_part(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "__part", pa.array(_bucket_key(t, key, nparts)))
-
     def resolve(t: pa.Table) -> pa.Table:
-        t = t.drop_columns(["__part"])
-        k = t.column(key).to_numpy(zero_copy_only=False)
-        if len(t) == 0:
-            return pa.table({key: t.column(key),
-                             "area": pa.array([], type=pa.float64()),
-                             "cx": pa.array([], type=pa.float64()),
-                             "cy": pa.array([], type=pa.float64()),
-                             "n_vertices": pa.array([],
-                                                    type=pa.int64())})
-        s = t.column(seq).to_numpy(zero_copy_only=False)
-        order = np.lexsort((s, k))
-        ks = k[order]
-        x = t.column(x_col).to_numpy(zero_copy_only=False)[order]
-        y = t.column(y_col).to_numpy(zero_copy_only=False)[order]
-        starts, counts = _key_spans(ks)
-        area, cx, cy = shoelace_area_centroid(x, y, starts, counts)
-        return pa.table({key: pa.array(ks[starts]),
-                         "area": pa.array(area),
-                         "cx": pa.array(cx), "cy": pa.array(cy),
-                         "n_vertices": pa.array(counts.astype(np.int64))})
+        starts, counts = key_spans(_np(t, key))
+        area, cx, cy = shoelace_area_centroid(_np(t, x_col), _np(t, y_col),
+                                              starts, counts)
+        return _per_ring(t, key, starts, counts, area=area, cx=cx, cy=cy)
 
-    return ds.map_batches(add_part, batch_format="pyarrow") \
-        .groupby("__part").map_groups(resolve, batch_format="pyarrow")
+    return keyed_apply(ds, key, resolve, num_partitions, sort_by=(seq,))
 
 
 # ---------------------------------------------------------------------------
@@ -185,36 +144,13 @@ def spherical_polygon_area(ds, key: str = "polygon_id",
     """Spherical-excess polygon area over a lon/lat vertex Dataset —
     same shuffle shape as polygon_area_centroid.  Output: one row per
     polygon ``(key, area_m2, n_vertices)`` with area_m2 UNSIGNED."""
-    from proj_ray.stages.partitioning import derive_num_partitions
-
-    nparts = num_partitions or derive_num_partitions(ds, default=32)
-
-    def add_part(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "__part", pa.array(_bucket_key(t, key, nparts)))
-
     def resolve(t: pa.Table) -> pa.Table:
-        t = t.drop_columns(["__part"])
-        if len(t) == 0:
-            return pa.table({key: t.column(key),
-                             "area_m2": pa.array([], type=pa.float64()),
-                             "n_vertices": pa.array([],
-                                                    type=pa.int64())})
-        k = t.column(key).to_numpy(zero_copy_only=False)
-        s = t.column(seq).to_numpy(zero_copy_only=False)
-        order = np.lexsort((s, k))
-        ks = k[order]
-        lon = t.column(lon_col).to_numpy(zero_copy_only=False)[order]
-        lat = t.column(lat_col).to_numpy(zero_copy_only=False)[order]
-        starts, counts = _key_spans(ks)
-        area = np.abs(spherical_ring_area(lon, lat, starts, counts,
-                                          radius))
-        return pa.table({key: pa.array(ks[starts]),
-                         "area_m2": pa.array(area),
-                         "n_vertices": pa.array(counts.astype(np.int64))})
+        starts, counts = key_spans(_np(t, key))
+        area = spherical_ring_area(_np(t, lon_col), _np(t, lat_col),
+                                   starts, counts, radius)
+        return _per_ring(t, key, starts, counts, area_m2=np.abs(area))
 
-    return ds.map_batches(add_part, batch_format="pyarrow") \
-        .groupby("__part").map_groups(resolve, batch_format="pyarrow")
+    return keyed_apply(ds, key, resolve, num_partitions, sort_by=(seq,))
 
 
 # ---------------------------------------------------------------------------
@@ -270,40 +206,22 @@ def simplify_tracks(ds, key: str = "doc_id", seq: str = "offset",
     """Douglas-Peucker per key over a vertex Dataset; returns the kept
     vertices (same schema).  Shuffle shape as above; the per-key DP
     runs inside the partition task (keys bounded, corpus not)."""
-    from proj_ray.stages.partitioning import derive_num_partitions
-
-    nparts = num_partitions or derive_num_partitions(ds, default=32)
-
-    def add_part(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "__part", pa.array(_bucket_key(t, key, nparts)))
-
     def resolve(t: pa.Table) -> pa.Table:
-        t = t.drop_columns(["__part"])
-        if len(t) == 0:
-            return t
-        k = t.column(key).to_numpy(zero_copy_only=False)
-        s = t.column(seq).to_numpy(zero_copy_only=False)
-        order = np.lexsort((s, k))
-        ks = k[order]
-        x = t.column(x_col).to_numpy(zero_copy_only=False)[order]
-        y = t.column(y_col).to_numpy(zero_copy_only=False)[order]
-        starts, counts = _key_spans(ks)
-        keep = np.zeros(len(ks), dtype=bool)
+        starts, counts = key_spans(_np(t, key))
+        x, y = _np(t, x_col), _np(t, y_col)
+        keep = np.zeros(len(t), dtype=bool)
         # trivial tracks (<= 2 vertices) keep everything — resolved
         # vectorized so the per-key Python loop below only visits
         # tracks with actual simplification work (its cost amortizes
         # over vertices, not keys)
         triv = counts <= 2
-        if triv.any():
-            keep[np.repeat(triv, counts)] = True
+        keep[np.repeat(triv, counts)] = True
         for st, ct in zip(starts[~triv], counts[~triv]):
             keep[st:st + ct] = douglas_peucker_mask(
                 x[st:st + ct], y[st:st + ct], tol)
-        return t.take(pa.array(order[keep]))
+        return t.filter(pa.array(keep))
 
-    return ds.map_batches(add_part, batch_format="pyarrow") \
-        .groupby("__part").map_groups(resolve, batch_format="pyarrow")
+    return keyed_apply(ds, key, resolve, num_partitions, sort_by=(seq,))
 
 
 def polygon_perimeter(ds, key: str = "polygon_id", seq: str = "seq",
@@ -313,42 +231,18 @@ def polygon_perimeter(ds, key: str = "polygon_id", seq: str = "seq",
     one-shuffle vertex-stream shape as polygon_area_centroid; the wrap
     edge closes the ring."""
     from proj_ray.spatial.knn import haversine_m
-    from proj_ray.stages.partitioning import derive_num_partitions
-
-    nparts = num_partitions or derive_num_partitions(ds, default=32)
-
-    def add_part(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "__part", pa.array(_bucket_key(t, key, nparts)))
 
     def resolve(t: pa.Table) -> pa.Table:
-        t = t.drop_columns(["__part"])
-        if len(t) == 0:
-            return pa.table({key: t.column(key),
-                             "perimeter_m": pa.array(
-                                 [], type=pa.float64()),
-                             "n_vertices": pa.array([],
-                                                    type=pa.int64())})
-        k = t.column(key).to_numpy(zero_copy_only=False)
-        s = t.column(seq).to_numpy(zero_copy_only=False)
-        order = np.lexsort((s, k))
-        ks = k[order]
-        lon = t.column(lon_col).to_numpy(zero_copy_only=False)[order]
-        lat = t.column(lat_col).to_numpy(zero_copy_only=False)[order]
-        starts, counts = _key_spans(ks)
-        n = len(ks)
-        nxt = np.arange(1, n + 1, dtype=np.int64)
-        ends = starts + counts - 1
-        nxt[ends] = starts
+        starts, counts = key_spans(_np(t, key))
+        lon, lat = _np(t, lon_col), _np(t, lat_col)
+        nxt = np.arange(1, len(t) + 1, dtype=np.int64)
+        nxt[starts + counts - 1] = starts
         d = haversine_m(lon, lat, lon[nxt], lat[nxt])
         ring_id = np.repeat(np.arange(len(starts)), counts)
         per = np.bincount(ring_id, weights=d, minlength=len(starts))
-        return pa.table({key: pa.array(ks[starts]),
-                         "perimeter_m": pa.array(per),
-                         "n_vertices": pa.array(counts.astype(np.int64))})
+        return _per_ring(t, key, starts, counts, perimeter_m=per)
 
-    return ds.map_batches(add_part, batch_format="pyarrow") \
-        .groupby("__part").map_groups(resolve, batch_format="pyarrow")
+    return keyed_apply(ds, key, resolve, num_partitions, sort_by=(seq,))
 
 
 def geodesic_ring_areas(lon_deg, lat_deg, starts, counts, geod=None):
@@ -395,35 +289,11 @@ def geodesic_polygon_area(ds, key: str = "polygon_id", seq: str = "seq",
     runs ONE batched inverse solve for all its rings' edges.  Output:
     ``(key, area_m2, perimeter_m, n_vertices)``, area signed
     (counter-clockwise positive)."""
-    from proj_ray.stages.partitioning import derive_num_partitions
-
-    nparts = num_partitions or derive_num_partitions(ds, default=32)
-
-    def add_part(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "__part", pa.array(_bucket_key(t, key, nparts)))
-
     def resolve(t: pa.Table) -> pa.Table:
-        t = t.drop_columns(["__part"])
-        if len(t) == 0:
-            return pa.table({key: t.column(key),
-                             "area_m2": pa.array([], type=pa.float64()),
-                             "perimeter_m": pa.array(
-                                 [], type=pa.float64()),
-                             "n_vertices": pa.array([],
-                                                    type=pa.int64())})
-        k = t.column(key).to_numpy(zero_copy_only=False)
-        s = t.column(seq).to_numpy(zero_copy_only=False)
-        order = np.lexsort((s, k))
-        ks = k[order]
-        lon = t.column(lon_col).to_numpy(zero_copy_only=False)[order]
-        lat = t.column(lat_col).to_numpy(zero_copy_only=False)[order]
-        starts, counts = _key_spans(ks)
-        area, per = geodesic_ring_areas(lon, lat, starts, counts)
-        return pa.table({key: pa.array(ks[starts]),
-                         "area_m2": pa.array(area),
-                         "perimeter_m": pa.array(per),
-                         "n_vertices": pa.array(counts.astype(np.int64))})
+        starts, counts = key_spans(_np(t, key))
+        area, per = geodesic_ring_areas(_np(t, lon_col), _np(t, lat_col),
+                                        starts, counts)
+        return _per_ring(t, key, starts, counts, area_m2=area,
+                         perimeter_m=per)
 
-    return ds.map_batches(add_part, batch_format="pyarrow") \
-        .groupby("__part").map_groups(resolve, batch_format="pyarrow")
+    return keyed_apply(ds, key, resolve, num_partitions, sort_by=(seq,))

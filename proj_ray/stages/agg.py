@@ -110,22 +110,19 @@ def hash_shuffle_aggregate(ds, keys: Sequence[str],
                            aggs: Sequence[Tuple[str, str]],
                            num_buckets: int = 64):
     """Hash-partitioned aggregate for unbounded key cardinality: bucket
-    by key hash (the shuffle key), then one exact combine per bucket."""
+    by the first key's hash (the shuffle key), then one exact combine
+    per bucket."""
+    from proj_ray.stages.partitioning import keyed_apply
+
     k = list(keys)
     a = list(aggs)
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        partial = combine_block(batch, k, a)  # combine before the shuffle
-        h = crc_bucket(partial.column(k[0]), num_buckets)
-        return partial.append_column("__bucket", pa.array(h))
+    def combine(batch: pa.Table) -> pa.Table:
+        return combine_block(batch, k, a)
 
-    def combine_group(batch: pa.Table) -> pa.Table:
-        out = combine_block(batch.drop_columns(["__bucket"]), k, a)
-        return out
-
-    bucketed = ds.map_batches(add_bucket, batch_format="pyarrow")
-    return bucketed.groupby("__bucket").map_groups(
-        combine_group, batch_format="pyarrow")
+    # combine before the shuffle, and again per bucket
+    return keyed_apply(ds.map_batches(combine, batch_format="pyarrow"),
+                       k[0], combine, num_buckets)
 
 
 def grouping_sets_from_finest(finest_ds, all_keys, sets, agg_cols,

@@ -71,16 +71,9 @@ def fanin_topk(partial, k: int, group_col: str = "query_id",
 
     sort_keys: (column, ascending) per tie-break level; descending
     levels must be numeric (negation trick)."""
-
-    def add_part(t: pa.Table) -> pa.Table:
-        g = t.column(group_col).to_numpy(zero_copy_only=False) \
-            .astype(np.uint64)
-        part = ((g * np.uint64(0x9E3779B97F4A7C15))
-                % np.uint64(fanout)).astype(np.int64)
-        return t.append_column("__part", pa.array(part))
+    from proj_ray.stages.partitioning import key_spans, keyed_apply
 
     def merge(t: pa.Table) -> pa.Table:
-        t = t.drop_columns(["__part"])
         n = len(t)
         if n == 0:
             return t.append_column(rank_col,
@@ -93,19 +86,13 @@ def fanin_topk(partial, k: int, group_col: str = "query_id",
             arrs.append(v if asc else -v)
         arrs.append(gid)
         order = np.lexsort(arrs)
-        g_s = gid[order]
-        new = np.empty(n, dtype=bool)
-        new[0] = True
-        new[1:] = g_s[1:] != g_s[:-1]
-        starts = np.flatnonzero(new)
-        runs = np.diff(np.append(starts, n))
+        starts, runs = key_spans(gid[order])
         rank = np.arange(n, dtype=np.int64) - np.repeat(starts, runs)
         keep = rank < k
         out = t.take(pa.array(order[keep]))
         return out.append_column(rank_col, pa.array(rank[keep] + 1))
 
-    return partial.map_batches(add_part, batch_format="pyarrow") \
-        .groupby("__part").map_groups(merge, batch_format="pyarrow")
+    return keyed_apply(partial, group_col, merge, fanout)
 
 
 def ann_brute_topk(emb_ds, queries: Dict, k: int = 5, concurrency: int = 2):

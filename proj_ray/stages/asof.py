@@ -30,13 +30,6 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-_MIX = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _part(vals: np.ndarray, n: int) -> np.ndarray:
-    return ((vals.astype(np.uint64) * _MIX) % np.uint64(n)).astype(np.int64)
-
-
 def _time_i64(arr: np.ndarray) -> np.ndarray:
     if arr.dtype.kind == "M":
         return arr.astype("datetime64[us]").view(np.int64)
@@ -94,7 +87,8 @@ def asof_join(left_ds, right_ds, key: str, time: str,
     one carry row — the latest right row strictly before the bucket
     start — is injected, so the in-bucket backward scan sees exactly
     what the whole-key scan would have."""
-    from proj_ray.stages.partitioning import derive_num_partitions
+    from proj_ray.stages.partitioning import (derive_num_partitions,
+                                              key_partition)
 
     if num_partitions is None:
         num_partitions = derive_num_partitions(left_ds, right_ds,
@@ -156,7 +150,7 @@ def asof_join(left_ds, right_ds, key: str, time: str,
     def _hot_parts(k: np.ndarray, tm: np.ndarray) -> np.ndarray:
         """Partition ids with hot keys remapped to their dedicated
         (key rank, time bucket) slots above the hash space."""
-        part = _part(k, num_partitions)
+        part = key_partition(pa.array(k), num_partitions)
         if hot is None:
             return part
         pos = np.minimum(np.searchsorted(hot, k), len(hot) - 1)

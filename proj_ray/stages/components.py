@@ -40,13 +40,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-_MIX = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _bucket(vals: np.ndarray, n: int) -> np.ndarray:
-    return ((vals.astype(np.uint64) * _MIX) % np.uint64(n)).astype(np.int64)
-
-
 def _empty_labels() -> pa.Table:
     return pa.table({"node": pa.array([], type=pa.int64()),
                      "component": pa.array([], type=pa.int64())})
@@ -126,6 +119,7 @@ def connected_components(pairs, col_a: str = "doc_a",
     import ray.data as rd
 
     from proj_ray.stages.agg import hash_shuffle_aggregate
+    from proj_ray.stages.partitioning import key_partition
 
     if isinstance(pairs, pd.DataFrame):
         if pairs.empty:
@@ -162,7 +156,8 @@ def connected_components(pairs, col_a: str = "doc_a",
         src = np.concatenate([a, b])
         dst = np.concatenate([b, a])
         return pa.table({"src": pa.array(src), "dst": pa.array(dst),
-                         "__part": pa.array(_bucket(src, num_buckets))})
+                         "__part": pa.array(
+                             key_partition(pa.array(src), num_buckets))})
 
     edges = pairs.map_batches(edge_batch,
                               batch_format="pyarrow").materialize()
@@ -184,14 +179,14 @@ def connected_components(pairs, col_a: str = "doc_a",
     prev_sum = _label_sum(labels)
 
     def tag_labels(t: pa.Table) -> pa.Table:
-        node = t.column("node").to_numpy(zero_copy_only=False)
         # schema-align with edges: label rows carry dst = -1 sentinel
         # (never read — resolve() splits rows on it)
         return pa.table({
             "src": t.column("node"),
             "dst": pa.array(np.full(len(t), -1, dtype=np.int64)),
             "label": t.column("label"),
-            "__part": pa.array(_bucket(node, num_buckets)),
+            "__part": pa.array(key_partition(t.column("node"),
+                                             num_buckets)),
         })
 
     def widen_edges(t: pa.Table) -> pa.Table:
@@ -269,9 +264,10 @@ def near_dup_filter(docs_ds, pairs, id_col: str = "doc_id",
     (component != node) flow into the same hash-bucket shuffle as the
     corpus and are dropped co-partitioned — one corpus pass, no
     driver-side id set, no Acero join."""
-    if num_buckets is None:
-        from proj_ray.stages.partitioning import derive_num_partitions
+    from proj_ray.stages.partitioning import (derive_num_partitions,
+                                              key_partition)
 
+    if num_buckets is None:
         num_buckets = derive_num_partitions(docs_ds, default=32)
     labels = connected_components(pairs, num_buckets=num_buckets)
 
@@ -290,9 +286,9 @@ def near_dup_filter(docs_ds, pairs, id_col: str = "doc_id",
     victims = labels.map_batches(victims_batch, batch_format="pyarrow")
 
     def add_part(t: pa.Table) -> pa.Table:
-        ids = t.column(id_col).to_numpy(zero_copy_only=False)
-        return t.append_column("__part",
-                               pa.array(_bucket(ids, num_buckets)))
+        return t.append_column(
+            "__part", pa.array(key_partition(t.column(id_col),
+                                             num_buckets)))
 
     # victims carry only (id, __drop); widen to the doc schema lazily
     # inside the group resolve instead of shipping null doc columns

@@ -101,33 +101,21 @@ def approx_distinct(ds, key: str, value: str, p: int = 12,
 
     # finish per key WHERE THE KEY ALREADY LIVES: one more key-hash
     # partition pass and a fully vectorized per-partition estimate
-    # (sort + reduceat) — no repartition(1) single task, no per-key
-    # Python loop (both were the round-3 scale-shape finding class)
-    from proj_ray.stages.agg import crc_bucket
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "__b", pa.array(crc_bucket(t.column(key), num_buckets)))
+    # (sorted partition + reduceat) — no repartition(1) single task,
+    # no per-key Python loop (both were the round-3 scale-shape
+    # finding class)
+    from proj_ray.stages.partitioning import key_spans, keyed_apply
 
     alpha = 0.7213 / (1 + 1.079 / m)
 
     def estimate_part(t: pa.Table) -> pa.Table:
-        t = t.drop_columns(["__b"])
-        n = len(t)
-        if n == 0:
+        starts, counts = key_spans(
+            t.column(key).to_numpy(zero_copy_only=False))
+        if len(starts) == 0:
             return pa.table({key: t.column(key),
                              out_col: pa.array([], type=pa.int64())})
-        k = t.column(key).to_numpy(zero_copy_only=False)
-        rho = t.column("__rho").to_numpy(zero_copy_only=False) \
-            .astype(np.float64)
-        order = np.argsort(k, kind="stable")
-        ks = k[order]
-        pw = np.exp2(-rho[order])
-        first = np.empty(n, dtype=bool)
-        first[0] = True
-        first[1:] = ks[1:] != ks[:-1]
-        starts = np.flatnonzero(first)
-        counts = np.diff(np.append(starts, n))
+        pw = np.exp2(-t.column("__rho").to_numpy(zero_copy_only=False)
+                     .astype(np.float64))
         zeros = m - counts
         s = zeros + np.add.reduceat(pw, starts)
         est = alpha * m * m / s
@@ -135,13 +123,12 @@ def approx_distinct(ds, key: str, value: str, p: int = 12,
         with np.errstate(divide="ignore"):
             lin = m * np.log(np.where(zeros > 0, m / zeros, 1.0))
         est = np.where(small, lin, est)
-        return pa.table({key: pa.array(ks[starts]),
+        return pa.table({key: t.column(key).take(pa.array(starts)),
                          out_col: pa.array(np.round(est)
                                            .astype(np.int64))})
 
-    return regs.map_batches(add_bucket, batch_format="pyarrow") \
-        .groupby("__b").map_groups(estimate_part,
-                                   batch_format="pyarrow")
+    return keyed_apply(regs, key, estimate_part, num_buckets,
+                       sort_by=("__reg",))
 
 
 def hll_estimate_batches(ds, values_fn, p: int = 14) -> int:

@@ -106,8 +106,8 @@ def tfidf_terms(ds, id_col: str, text_col: str, min_tf: int = 3,
     The score is computed in place inside the shuffle; nothing
     token-keyed ever reaches the driver.  Rows filter on the exact
     integer tf >= min_tf."""
-    from proj_ray.stages.agg import crc_bucket
-    from proj_ray.stages.partitioning import derive_num_partitions
+    from proj_ray.stages.partitioning import (derive_num_partitions,
+                                              keyed_apply)
 
     def _doc_tokens(t: pa.Table):
         import pyarrow.compute as pc
@@ -133,14 +133,7 @@ def tfidf_terms(ds, id_col: str, text_col: str, min_tf: int = 3,
     n_docs = ds.count()
     nparts = num_partitions or derive_num_partitions(ds, default=64)
 
-    def add_part(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "__part", pa.array(crc_bucket(t.column("tok"), nparts)))
-
     def score(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        t = t.drop_columns(["__part"])
         if len(t) == 0:
             return pa.table({
                 id_col: t.column(id_col), "tok": t.column("tok"),
@@ -164,8 +157,7 @@ def tfidf_terms(ds, id_col: str, text_col: str, min_tf: int = 3,
             "tfidf": pa.array(np.round(tfidf[keep], 6)),
         })
 
-    return tf.map_batches(add_part, batch_format="pyarrow") \
-        .groupby("__part").map_groups(score, batch_format="pyarrow")
+    return keyed_apply(tf, "tok", score, nparts)
 
 
 def _mg_merge(tok: np.ndarray, cnt: np.ndarray, k: int):
@@ -247,15 +239,9 @@ def count_min_build(ds, text_col: str, width: int = 4096,
         raise ValueError(f"depth <= {len(_CM_SEEDS)}")
 
     def partial(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
+        from proj_ray.stages.text import token_hashes
 
-        from proj_ray.stages.hashing import rolling_hash_batch
-
-        toks = pc.split_pattern(pc.fill_null(t.column(text_col), ""),
-                                pattern)
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
-        h = rolling_hash_batch(toks.flatten())
+        h, _ = token_hashes(t, text_col, pattern)
         m = np.zeros((depth, width), dtype=np.int64)
         cols = _cm_cols(h, width)
         for d in range(depth):

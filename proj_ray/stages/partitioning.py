@@ -12,11 +12,22 @@ more partitions than cores is fine and is exactly what 100 TB needs).
 Lazy Datasets whose size Ray cannot know yet (post-map_batches) fall
 back to `default`, so callers should pass the UPSTREAM dataset (the
 parquet read, whose metadata carries sizes) when they can.
+
+The one-sided keyed exchange lives here too: `keyed_apply(ds, key,
+kernel)` hash-partitions `ds` on `key` (`key_partition`) and calls
+`kernel` once per partition.  Its contract:
+- every row of a key reaches the same, single kernel call;
+- one call may hold many keys (use `key_spans` on the sorted key
+  column to find each key's rows);
+- the order of the output rows is unspecified.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
+import pyarrow as pa
 
 # One hash-partition task per this much input: big enough to amortize
 # task overhead, small enough that a partition (plus its group-by
@@ -25,6 +36,9 @@ TARGET_PARTITION_BYTES = 256 << 20
 
 # Runaway backstop, far above any sane single-job fan-out.
 MAX_PARTITIONS = 65536
+
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+_PART = "__part"
 
 
 def _cluster_cpus(default: int = 4) -> int:
@@ -92,3 +106,57 @@ def derive_num_partitions(*datasets, size_bytes: int | None = None,
         return max(default, floor)
     derived = math.ceil(size_bytes / max(1, target_bytes))
     return int(min(cap, max(default, floor, derived)))
+
+
+def key_partition(col, n: int) -> np.ndarray:
+    """Partition id in [0, n) for every value of an Arrow key column,
+    the same for equal values in every batch and worker.  Integer and
+    timestamp keys take the top 16 bits of a multiplicative hash (the
+    low bits would put keys that share trailing zero bits into one
+    partition); every other type hashes its string form
+    (`agg.crc_bucket`).  Null keys share one partition."""
+    if pa.types.is_timestamp(col.type):
+        col = col.cast(pa.int64())
+    elif not pa.types.is_integer(col.type):
+        from proj_ray.stages.agg import crc_bucket
+
+        return crc_bucket(col, n)
+    v = col.fill_null(0).to_numpy(zero_copy_only=False).astype(np.uint64)
+    h = (v * _MIX) >> np.uint64(48)
+    return (h % np.uint64(n)).astype(np.int64)
+
+
+def key_spans(keys: np.ndarray):
+    """(start index, length) of each run of equal values in a sorted
+    key array."""
+    n = len(keys)
+    if n == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    first[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(first)
+    return starts, np.diff(np.append(starts, n))
+
+
+def keyed_apply(ds, key: str, kernel, num_partitions: int | None = None,
+                sort_by=()):
+    """One hash exchange on `key`, then `kernel(table) -> table` once
+    per partition (see the module docstring for the contract).  The
+    kernel never sees the partition column.  A non-empty `sort_by`
+    hands the kernel its partition stably sorted by `[key, *sort_by]`;
+    an empty one leaves rows in arrival order.  `num_partitions=None`
+    derives the count from `ds` (`derive_num_partitions`)."""
+    n = num_partitions or derive_num_partitions(ds, default=32)
+    order = [(c, "ascending") for c in (key, *sort_by)] if sort_by else None
+
+    def tag(t: pa.Table) -> pa.Table:
+        return t.append_column(_PART,
+                               pa.array(key_partition(t.column(key), n)))
+
+    def run(t: pa.Table) -> pa.Table:
+        t = t.drop_columns([_PART])
+        return kernel(t.sort_by(order) if order else t)
+
+    return ds.map_batches(tag, batch_format="pyarrow") \
+        .groupby(_PART).map_groups(run, batch_format="pyarrow")

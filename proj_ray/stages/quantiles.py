@@ -104,16 +104,11 @@ def group_quantiles(ds, key: str, col: str, qs,
     via one hash shuffle, so this is for BOUNDED key cardinality
     (statuses, priorities, languages); unbounded keys or single huge
     keys should use approx_quantiles per slice instead."""
+    from proj_ray.stages.partitioning import keyed_apply
+
     qs = [float(q) for q in np.atleast_1d(qs)]
     if out_names is None:
         out_names = [f"q{int(q * 100)}" for q in qs]
-
-    def add_part(t: pa.Table) -> pa.Table:
-        from proj_ray.stages.agg import crc_bucket
-
-        return t.append_column(
-            "__part", pa.array(crc_bucket(t.column(key),
-                                          num_partitions)))
 
     def resolve(t: pa.Table) -> pa.Table:
         import pandas as pd
@@ -131,5 +126,4 @@ def group_quantiles(ds, key: str, col: str, qs,
                                if round_to is not None else float(r))
         return pa.table(rows)
 
-    return ds.map_batches(add_part, batch_format="pyarrow") \
-        .groupby("__part").map_groups(resolve, batch_format="pyarrow")
+    return keyed_apply(ds, key, resolve, num_partitions)

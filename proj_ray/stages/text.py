@@ -21,6 +21,29 @@ STOPWORDS = ("the", "and", "of", "a", "to", "in", "is", "on", "for", "with")
 _STOP_RE = (r"\b(?:" + "|".join(STOPWORDS) + r")\b")
 
 
+def token_hashes(t: pa.Table, col: str, pattern: str = " "):
+    """(hashes, offsets): the `pattern`-separated tokens of every row of
+    `t[col]` (null text reads as empty) as uint64 rolling hashes
+    (hashing.rolling_hash_batch), and the list offsets, rebased to 0,
+    that delimit row i's tokens as hashes[offsets[i]:offsets[i+1]]."""
+    import pyarrow.compute as pc
+
+    from proj_ray.stages.hashing import rolling_hash_batch
+
+    toks = pc.split_pattern(pc.fill_null(t.column(col), ""), pattern)
+    if isinstance(toks, pa.ChunkedArray):
+        toks = toks.combine_chunks()
+    off = toks.offsets.to_numpy(zero_copy_only=False)
+    return rolling_hash_batch(toks.flatten()), off - off[0]
+
+
+def token_counts(t: pa.Table, col: str) -> pa.Table:
+    """(tok, c): the distinct token hashes of one batch and their
+    counts — the per-batch combiner of the corpus frequency table."""
+    u, c = np.unique(token_hashes(t, col)[0], return_counts=True)
+    return pa.table({"tok": pa.array(u), "c": pa.array(c.astype(np.int64))})
+
+
 class TextScorer:
     """Actor-pool stage: quality scoring, token counting, stopword
     stats and a rolling-hash fingerprint per document.
@@ -144,20 +167,10 @@ def repetition_stats_batch(batch: pa.Table) -> pa.Table:
     from the NumPy rolling-hash kernel over the flattened token
     column, then lexsort + run-length math for per-doc distinct and
     per-(doc, 2-gram) counts — no per-row Python."""
-    import pyarrow.compute as pc
-
-    from proj_ray.stages.hashing import rolling_hash_batch
-
-    text = pc.fill_null(batch.column("text"), "")
-    toks = pc.split_pattern(text, " ").combine_chunks()
-    if isinstance(toks, pa.ChunkedArray):
-        toks = toks.combine_chunks()
-    flat = toks.flatten()
-    off = toks.offsets.to_numpy(zero_copy_only=False)
+    h, off = token_hashes(batch, "text")
     counts = np.diff(off)
     n_docs = len(batch)
     doc_idx = np.repeat(np.arange(n_docs, dtype=np.int64), counts)
-    h = rolling_hash_batch(flat)
 
     # distinct tokens per doc: sort (doc, hash), count run starts
     n_distinct = np.zeros(n_docs, dtype=np.int64)
@@ -258,18 +271,8 @@ def contamination_hits_batch(t: pa.Table, bench: np.ndarray, n: int,
                              text_col: str = "text") -> np.ndarray:
     """Per-row benchmark n-gram hit counts (the batch core of
     contamination_flags; cross-document grams invalidated)."""
-    import pyarrow.compute as pc
-
-    from proj_ray.stages.hashing import rolling_hash_batch
-
     PHI = np.uint64(0x9E3779B97F4A7C15)
-    text = pc.fill_null(t.column(text_col), "")
-    toks = pc.split_pattern(text, " ")
-    if isinstance(toks, pa.ChunkedArray):
-        toks = toks.combine_chunks()
-    flat = toks.flatten()
-    off = toks.offsets.to_numpy(zero_copy_only=False)
-    h = rolling_hash_batch(flat)
+    h, off = token_hashes(t, text_col)
     n_docs = len(t)
     hits = np.zeros(n_docs, dtype=np.int64)
     if len(h) >= n and len(bench):
@@ -298,9 +301,6 @@ def unigram_logprob(ds, freq_ref, total_tokens: int,
     smoothed corpus frequencies: p(w) = (c(w) + alpha) /
     (total + alpha * V).  `freq_ref` broadcasts the (sorted token
     hashes, counts) table built by one corpus pass."""
-    import pyarrow.compute as pc
-
-    from proj_ray.stages.hashing import rolling_hash_batch
     from proj_ray.stages.worker_cache import get_broadcast
 
     def score(t: pa.Table) -> pa.Table:
@@ -323,20 +323,10 @@ def unigram_nll_batch(t: pa.Table, vocab: np.ndarray,
                       text_col: str = "text"):
     """(token counts, mean negative log-prob) per row — the batch core
     of unigram_logprob."""
-    import pyarrow.compute as pc
-
-    from proj_ray.stages.hashing import rolling_hash_batch
-
     V = vocab_size if vocab_size is not None else len(vocab)
     denom = float(total_tokens) + alpha * V
-    text = pc.fill_null(t.column(text_col), "")
-    toks = pc.split_pattern(text, " ")
-    if isinstance(toks, pa.ChunkedArray):
-        toks = toks.combine_chunks()
-    flat = toks.flatten()
-    off = toks.offsets.to_numpy(zero_copy_only=False)
+    h, off = token_hashes(t, text_col)
     counts = np.diff(off)
-    h = rolling_hash_batch(flat)
     if len(h):
         if len(vocab) == 0:
             # no-vocab corpus: every token is unseen (c = 0) — the
@@ -382,14 +372,6 @@ def unigram_nll_batch(t: pa.Table, vocab: np.ndarray,
 # which equals avg(-ln((c + alpha) / (T + alpha*V))) exactly.
 
 
-def _tok_part(h: np.ndarray, n: int) -> np.ndarray:
-    """Deterministic partition of uint64 token hashes (multiplicative
-    hash — process-independent, unlike Python hash())."""
-    x = (h.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) \
-        >> np.uint64(64 - 16)
-    return (x % np.uint64(n)).astype(np.int64)
-
-
 def doc_token_partials(t: pa.Table, text_col: str = "text",
                        id_col: str = "doc_id") -> pa.Table:
     """One batch -> (id_col, tok, m): per-document token-hash counts
@@ -397,14 +379,8 @@ def doc_token_partials(t: pa.Table, text_col: str = "text",
     the stream carries exactly one row per (doc, token))."""
     import pyarrow.compute as pc
 
-    from proj_ray.stages.hashing import rolling_hash_batch
-
-    toks = pc.split_pattern(pc.fill_null(t.column(text_col), ""), " ")
-    if isinstance(toks, pa.ChunkedArray):
-        toks = toks.combine_chunks()
-    counts = np.diff(toks.offsets.to_numpy(zero_copy_only=False))
-    h = rolling_hash_batch(toks.flatten())
-    doc_idx = np.repeat(np.arange(len(t)), counts)
+    h, off = token_hashes(t, text_col)
+    doc_idx = np.repeat(np.arange(len(t)), np.diff(off))
     order = np.lexsort((h, doc_idx))
     dh, hh = doc_idx[order], h[order]
     n = len(dh)
@@ -433,22 +409,9 @@ def corpus_token_scalars(ds, text_col: str = "text",
 
     nb = num_buckets or derive_num_partitions(ds, default=64)
 
-    def partial(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        from proj_ray.stages.hashing import rolling_hash_batch
-
-        toks = pc.split_pattern(pc.fill_null(t.column(text_col), ""),
-                                " ")
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
-        h = rolling_hash_batch(toks.flatten())
-        u, c = np.unique(h, return_counts=True)
-        return pa.table({"tok": pa.array(u),
-                         "c": pa.array(c.astype(np.int64))})
-
     freq = hash_shuffle_aggregate(
-        ds.map_batches(partial, batch_format="pyarrow"),
+        ds.map_batches(token_counts, fn_args=(text_col,),
+                       batch_format="pyarrow"),
         ["tok"], [("c", "sum")], num_buckets=nb)
 
     def stats(t: pa.Table) -> pa.Table:
@@ -470,15 +433,10 @@ def unigram_nll_partials(ds, text_col: str = "text",
     sum m — at most one row per (doc, token-partition), ready for a
     doc-keyed sum (`copartition_agg_join` or `hash_shuffle_aggregate`)."""
     from proj_ray.stages.agg import combine_block
-    from proj_ray.stages.partitioning import derive_num_partitions
+    from proj_ray.stages.partitioning import (derive_num_partitions,
+                                              keyed_apply)
 
     nparts = num_partitions or derive_num_partitions(ds, default=64)
-
-    def partial(t: pa.Table) -> pa.Table:
-        out = doc_token_partials(t, text_col, id_col)
-        tok = out.column("tok").to_numpy(zero_copy_only=False)
-        return out.append_column("__part",
-                                 pa.array(_tok_part(tok, nparts)))
 
     def resolve(t: pa.Table) -> pa.Table:
         tok = t.column("tok").to_numpy(zero_copy_only=False)
@@ -492,8 +450,10 @@ def unigram_nll_partials(ds, text_col: str = "text",
         return combine_block(out, [id_col],
                              [("s", "sum"), ("n", "sum")])
 
-    return ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("__part").map_groups(resolve, batch_format="pyarrow")
+    return keyed_apply(
+        ds.map_batches(doc_token_partials, fn_args=(text_col, id_col),
+                       batch_format="pyarrow"),
+        "tok", resolve, nparts)
 
 
 def unigram_logprob_shuffled(ds, text_col: str = "text",
@@ -551,18 +511,8 @@ def estimate_vocab(ds, text_col: str = "text", p: int = 14) -> int:
     regardless of corpus size."""
     from proj_ray.stages.distinct import hll_estimate_batches
 
-    def token_hashes(t: pa.Table) -> np.ndarray:
-        import pyarrow.compute as pc
-
-        from proj_ray.stages.hashing import rolling_hash_batch
-
-        toks = pc.split_pattern(pc.fill_null(t.column(text_col), ""),
-                                " ")
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
-        return rolling_hash_batch(toks.flatten())
-
-    return hll_estimate_batches(ds, token_hashes, p)
+    return hll_estimate_batches(
+        ds, lambda t: token_hashes(t, text_col)[0], p)
 
 
 def corpus_token_freq_broadcast(ds, text_col: str = "text",
@@ -573,24 +523,13 @@ def corpus_token_freq_broadcast(ds, text_col: str = "text",
     final combine raises past it) — callers must pre-gate with
     `estimate_vocab` (as `unigram_logprob_auto` does) so the raise is
     a contract violation, not a control path."""
-    import pyarrow.compute as pc
     import ray
 
     from proj_ray.stages.agg import tree_aggregate
-    from proj_ray.stages.hashing import rolling_hash_batch
-
-    def partial(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern(pc.fill_null(t.column(text_col), ""),
-                                " ")
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
-        h = rolling_hash_batch(toks.flatten())
-        u, c = np.unique(h, return_counts=True)
-        return pa.table({"tok": pa.array(u),
-                         "c": pa.array(c.astype(np.int64))})
 
     freq_ds = tree_aggregate(
-        ds.map_batches(partial, batch_format="pyarrow"),
+        ds.map_batches(token_counts, fn_args=(text_col,),
+                       batch_format="pyarrow"),
         ["tok"], [("c", "sum")], fanout=8, max_keys=max_keys)
     freq = pa.concat_tables(ray.get(freq_ds.to_arrow_refs()),
                             promote_options="default")

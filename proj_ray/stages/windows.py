@@ -21,28 +21,24 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-_MIX = np.uint64(0x9E3779B97F4A7C15)
+from proj_ray.stages.partitioning import key_spans, keyed_apply
 
 
-def _part(vals: np.ndarray, n: int) -> np.ndarray:
-    if vals.dtype.kind not in "iufM":
-        # string/object keys: the vectorized crc shuffle hash
-        from proj_ray.stages.agg import crc_bucket
-
-        return crc_bucket(pa.array(vals), n)
-    return ((vals.astype(np.uint64) * _MIX) % np.uint64(n)).astype(np.int64)
+def _np(t: pa.Table, col: str) -> np.ndarray:
+    return t.column(col).to_numpy(zero_copy_only=False)
 
 
+def _by(col: str, tiebreak: str | None) -> tuple:
+    return (col,) if tiebreak is None else (col, tiebreak)
 
-def _resolve_parts(ds, num_partitions):
-    """Size-derived partition count (VERDICT r3 finding #4 applied to
-    the windows family): default None derives one partition per
-    ~256 MB of input, floored at the cluster's CPU count."""
-    if num_partitions is not None:
-        return num_partitions
-    from proj_ray.stages.partitioning import derive_num_partitions
 
-    return derive_num_partitions(ds, default=32)
+def _new_value(v: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Mask of rows that start a key run or change the sorted value."""
+    new = np.ones(len(v), dtype=bool)
+    new[1:] = v[1:] != v[:-1]
+    new[starts] = True
+    return new
+
 
 def sessionize(ds, key: str, time: str, gap_s: float,
                num_partitions: int | None = None, tiebreak: str | None = None):
@@ -54,16 +50,8 @@ def sessionize(ds, key: str, time: str, gap_s: float,
     matching `ts - lag(ts) > INTERVAL gap` in SQL.  `tiebreak` names a
     column ordering equal-time rows (session_seq is otherwise
     nondeterministic under timestamp ties)."""
-    nparts = _resolve_parts(ds, num_partitions)
-
-    def add_part(t: pa.Table) -> pa.Table:
-        k = t.column(key).to_numpy(zero_copy_only=False)
-        return t.append_column("__part",
-                               pa.array(_part(k, nparts)))
-
     def resolve(t: pa.Table) -> pa.Table:
-        k = t.column(key).to_numpy(zero_copy_only=False)
-        tm = t.column(time).to_numpy(zero_copy_only=False)
+        tm = _np(t, time)
         if tm.dtype.kind == "M":
             unit = np.datetime_data(tm.dtype)[0]
             per_s = {"s": 1, "ms": 10**3, "us": 10**6, "ns": 10**9}[unit]
@@ -72,43 +60,25 @@ def sessionize(ds, key: str, time: str, gap_s: float,
         else:
             tv = tm.astype(np.float64)
             gap = gap_s
-        if tiebreak is not None:
-            tb = t.column(tiebreak).to_numpy(zero_copy_only=False)
-            order = np.lexsort((tb, tv, k))
-        else:
-            order = np.lexsort((tv, k))
-        ks, ts = k[order], tv[order]
-        n = len(order)
-        if n == 0:
-            return t.drop_columns(["__part"]).append_column(
-                "session_id", pa.array([], type=pa.int64())) \
-                .append_column("session_seq",
-                               pa.array([], type=pa.int64()))
-        new_key = np.empty(n, dtype=bool)
-        new_key[0] = True
-        new_key[1:] = ks[1:] != ks[:-1]
-        new_sess = new_key.copy()
-        new_sess[1:] |= (ts[1:] - ts[:-1]) > gap
-        # session_id restarts at 0 per key: global cumsum of session
+        starts, counts = key_spans(_np(t, key))
+        n = len(t)
+        new_sess = np.zeros(n, dtype=bool)
+        new_sess[1:] = (tv[1:] - tv[:-1]) > gap
+        new_sess[starts] = True
+        # session_id restarts at 0 per key: global count of session
         # starts minus the key's first session number
         sess_global = np.cumsum(new_sess) - 1
-        key_first = np.maximum.accumulate(
-            np.where(new_key, sess_global, -1))
-        session_id = sess_global - key_first
-        # position within session
+        session_id = sess_global - np.repeat(sess_global[starts], counts)
         row = np.arange(n, dtype=np.int64)
-        sess_start_row = np.maximum.accumulate(np.where(new_sess, row, -1))
-        session_seq = row - sess_start_row
-        inv = np.empty(n, dtype=np.int64)
-        inv[order] = np.arange(n)
-        out = t.drop_columns(["__part"])
-        out = out.append_column("session_id",
-                                pa.array(session_id[inv]))
-        return out.append_column("session_seq",
-                                 pa.array(session_seq[inv]))
+        session_seq = row - np.maximum.accumulate(
+            np.where(new_sess, row, -1))
+        return t.append_column("session_id",
+                               pa.array(session_id, type=pa.int64())) \
+            .append_column("session_seq",
+                           pa.array(session_seq, type=pa.int64()))
 
-    return ds.map_batches(add_part, batch_format="pyarrow") \
-        .groupby("__part").map_groups(resolve, batch_format="pyarrow")
+    return keyed_apply(ds, key, resolve, num_partitions,
+                       sort_by=_by(time, tiebreak))
 
 
 def grouped_top_k(ds, key: str, score: str, k: int,
@@ -116,44 +86,25 @@ def grouped_top_k(ds, key: str, score: str, k: int,
                   tiebreak: str | None = None):
     """Exact per-key top-k by score.  Every batch first reduces to at
     most k rows per key it contains (bounded partial), so the shuffle
-    moves O(keys * k), never the corpus.  `tiebreak` orders equal
-    scores (ascending); without it, equal-score selection follows
-    block order and is nondeterministic across runs."""
+    moves O(keys * k), never the corpus; the same reduction then runs
+    once per partition.  `tiebreak` orders equal scores (ascending);
+    without it, equal-score selection follows block order and is
+    nondeterministic across runs."""
     def partial(t: pa.Table) -> pa.Table:
         if len(t) == 0:
             return t
-        kv = t.column(key).to_numpy(zero_copy_only=False)
-        sv = t.column(score).to_numpy(zero_copy_only=False)
+        kv = _np(t, key)
+        sv = _np(t, score)
         keys = [-sv if descending else sv, kv]
         if tiebreak is not None:
-            tb = t.column(tiebreak).to_numpy(zero_copy_only=False)
-            keys.insert(0, tb)
+            keys.insert(0, _np(t, tiebreak))
         order = np.lexsort(tuple(keys))
-        ks = kv[order]
-        new_key = np.empty(len(ks), dtype=bool)
-        if len(ks):
-            new_key[0] = True
-            new_key[1:] = ks[1:] != ks[:-1]
-        row = np.arange(len(ks), dtype=np.int64)
-        start = np.maximum.accumulate(np.where(new_key, row, -1))
-        rank = row - start
-        keep = order[rank < k]
-        return t.take(pa.array(np.sort(keep)))
+        starts, counts = key_spans(kv[order])
+        rank = np.arange(len(order)) - np.repeat(starts, counts)
+        return t.take(pa.array(np.sort(order[rank < k])))
 
-    nparts = _resolve_parts(ds, num_partitions)
-
-    def add_part(t: pa.Table) -> pa.Table:
-        kv = t.column(key).to_numpy(zero_copy_only=False)
-        return t.append_column("__part",
-                               pa.array(_part(kv, nparts)))
-
-    def refine(t: pa.Table) -> pa.Table:
-        out = partial(t.drop_columns(["__part"]))
-        return out
-
-    return ds.map_batches(partial, batch_format="pyarrow") \
-        .map_batches(add_part, batch_format="pyarrow") \
-        .groupby("__part").map_groups(refine, batch_format="pyarrow")
+    return keyed_apply(ds.map_batches(partial, batch_format="pyarrow"),
+                       key, partial, num_partitions)
 
 
 def assign_sliding_windows(ds, time_col: str, width_s: int, hop_s: int,
@@ -194,48 +145,20 @@ def keyed_lag(ds, key: str, time: str, value_cols: list[str],
     columns, null on each key's first row) — SQL's
     ``LAG(c) OVER (PARTITION BY key ORDER BY time)``.  Same shape as
     sessionize: one hash-partition shuffle co-locates each key, then
-    every partition resolves with one lexsort and shifted gathers."""
-    nparts = _resolve_parts(ds, num_partitions)
-
-    def add_part(t: pa.Table) -> pa.Table:
-        k = t.column(key).to_numpy(zero_copy_only=False)
-        return t.append_column("__part",
-                               pa.array(_part(k, nparts)))
-
+    every partition resolves with shifted gathers over its sorted
+    rows."""
     def resolve(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        t = t.drop_columns(["__part"])
-        k = t.column(key).to_numpy(zero_copy_only=False)
-        tm = t.column(time).to_numpy(zero_copy_only=False)
-        tv = tm.view(np.int64) if tm.dtype.kind == "M" else tm
         n = len(t)
-        if n == 0:
-            for c in value_cols:
-                t = t.append_column(f"{c}_lag", t.column(c))
-            return t
-        if tiebreak is not None:
-            tb = t.column(tiebreak).to_numpy(zero_copy_only=False)
-            order = np.lexsort((tb, tv, k))
-        else:
-            order = np.lexsort((tv, k))
-        ks = k[order]
-        first = np.empty(n, dtype=bool)
-        first[0] = True
-        first[1:] = ks[1:] != ks[:-1]
-        # previous row in sort order (clamped; masked where first-of-key)
-        prev = np.concatenate([[0], order[:-1]])
-        inv = np.empty(n, dtype=np.int64)
-        inv[order] = np.arange(n)
-        prev_orig = prev[inv]          # per original row: its predecessor
-        first_orig = first[inv]
-        idx = pa.array(prev_orig, type=pa.int64(), mask=first_orig)
+        first = np.zeros(n, dtype=bool)
+        first[key_spans(_np(t, key))[0]] = True
+        idx = pa.array(np.maximum(np.arange(n) - 1, 0), type=pa.int64(),
+                       mask=first)
         for c in value_cols:
-            t = t.append_column(f"{c}_lag", pc.take(t.column(c), idx))
+            t = t.append_column(f"{c}_lag", t.column(c).take(idx))
         return t
 
-    return ds.map_batches(add_part, batch_format="pyarrow") \
-        .groupby("__part").map_groups(resolve, batch_format="pyarrow")
+    return keyed_apply(ds, key, resolve, num_partitions,
+                       sort_by=_by(time, tiebreak))
 
 
 def keyed_dense_rank(ds, key: str, order_col: str,
@@ -244,43 +167,17 @@ def keyed_dense_rank(ds, key: str, order_col: str,
     """SQL ``DENSE_RANK() OVER (PARTITION BY key ORDER BY order_col)``:
     rows with equal order values share a rank and ranks are gapless.
     One hash-partition shuffle co-locates each key; every partition
-    resolves with one lexsort + a cumulative new-value counter — no
-    per-key loop, no global sort."""
-    nparts = _resolve_parts(ds, num_partitions)
-
-    def add_part(t: pa.Table) -> pa.Table:
-        k = t.column(key).to_numpy(zero_copy_only=False)
-        return t.append_column("__part",
-                               pa.array(_part(k, nparts)))
-
+    resolves with a cumulative new-value counter over its sorted rows
+    — no per-key loop, no global sort."""
     def resolve(t: pa.Table) -> pa.Table:
-        t = t.drop_columns(["__part"])
-        n = len(t)
-        if n == 0:
-            return t.append_column(out_col,
-                                   pa.array([], type=pa.int64()))
-        k = t.column(key).to_numpy(zero_copy_only=False)
-        v = t.column(order_col).to_numpy(zero_copy_only=False)
-        vv = v.view(np.int64) if v.dtype.kind == "M" else v
-        order = np.lexsort((vv, k))
-        ks, vs = k[order], vv[order]
-        new_key = np.empty(n, dtype=bool)
-        new_key[0] = True
-        new_key[1:] = ks[1:] != ks[:-1]
-        new_val = np.empty(n, dtype=bool)
-        new_val[0] = True
-        new_val[1:] = new_key[1:] | (vs[1:] != vs[:-1])
+        starts, counts = key_spans(_np(t, key))
         # dense rank = count of distinct values seen within the key
-        bump = np.cumsum(new_val.astype(np.int64))
-        key_base = np.maximum.accumulate(
-            np.where(new_key, bump - 1, 0))
-        rank_sorted = bump - key_base
-        inv = np.empty(n, dtype=np.int64)
-        inv[order] = np.arange(n)
-        return t.append_column(out_col, pa.array(rank_sorted[inv]))
+        bump = np.cumsum(_new_value(_np(t, order_col), starts))
+        rank = bump - np.repeat(bump[starts], counts) + 1
+        return t.append_column(out_col, pa.array(rank, type=pa.int64()))
 
-    return ds.map_batches(add_part, batch_format="pyarrow") \
-        .groupby("__part").map_groups(resolve, batch_format="pyarrow")
+    return keyed_apply(ds, key, resolve, num_partitions,
+                       sort_by=(order_col,))
 
 
 def keyed_cumsum(ds, key: str, time: str, value_cols: list[str],
@@ -288,57 +185,25 @@ def keyed_cumsum(ds, key: str, time: str, value_cols: list[str],
     """Running totals: SQL's ``SUM(c) OVER (PARTITION BY key ORDER BY
     time ROWS UNBOUNDED PRECEDING)`` — each row gets the cumulative sum
     of `value_cols` over its key's history up to and including itself
-    (`{c}_cum` columns).  One key-hash shuffle, per-partition lexsort,
-    segmented cumsum (global cumsum minus each key-run's prefix)."""
-    nparts = _resolve_parts(ds, num_partitions)
-
-    def add_part(t: pa.Table) -> pa.Table:
-        k = t.column(key).to_numpy(zero_copy_only=False)
-        return t.append_column("__part",
-                               pa.array(_part(k, nparts)))
-
+    (`{c}_cum` columns).  One key-hash shuffle, then a cumsum per key
+    run of the sorted partition."""
     def resolve(t: pa.Table) -> pa.Table:
-        t = t.drop_columns(["__part"])
-        n = len(t)
-        if n == 0:
-            # the cum columns are float64 on non-empty batches — keep
-            # the empty block's schema identical (VERDICT r2 bug class)
-            for c in value_cols:
-                t = t.append_column(f"{c}_cum",
-                                    pa.array([], type=pa.float64()))
-            return t
-        k = t.column(key).to_numpy(zero_copy_only=False)
-        tm = t.column(time).to_numpy(zero_copy_only=False)
-        tv = tm.view(np.int64) if tm.dtype.kind == "M" else tm
-        if tiebreak is not None:
-            tb = t.column(tiebreak).to_numpy(zero_copy_only=False)
-            order = np.lexsort((tb, tv, k))
-        else:
-            order = np.lexsort((tv, k))
-        ks = k[order]
-        first = np.empty(n, dtype=bool)
-        first[0] = True
-        first[1:] = ks[1:] != ks[:-1]
-        inv = np.empty(n, dtype=np.int64)
-        inv[order] = np.arange(n)
-        # per-run cumsum: the loop is over KEY RUNS (bounded by the
-        # partition's distinct keys), each iteration a vectorized
-        # cumsum whose sequential-add order matches SQL's running sum
-        # bit-for-bit (a global-cumsum-minus-prefix trick would drag
-        # other keys' magnitudes into the floats)
-        starts_idx = np.nonzero(first)[0]
-        ends_idx = np.append(starts_idx[1:], n)
+        starts, counts = key_spans(_np(t, key))
+        # the loop is over KEY RUNS (bounded by the partition's
+        # distinct keys), each iteration a vectorized cumsum whose
+        # sequential-add order matches SQL's running sum bit-for-bit
+        # (a global-cumsum-minus-prefix trick would drag other keys'
+        # magnitudes into the floats)
         for c in value_cols:
-            v = t.column(c).to_numpy(zero_copy_only=False) \
-                .astype(np.float64)[order]
-            cum = np.empty(n, dtype=np.float64)
-            for s, e in zip(starts_idx, ends_idx):
+            v = _np(t, c).astype(np.float64)
+            cum = np.empty(len(t), dtype=np.float64)
+            for s, e in zip(starts, starts + counts):
                 cum[s:e] = np.cumsum(v[s:e])
-            t = t.append_column(f"{c}_cum", pa.array(cum[inv]))
+            t = t.append_column(f"{c}_cum", pa.array(cum))
         return t
 
-    return ds.map_batches(add_part, batch_format="pyarrow") \
-        .groupby("__part").map_groups(resolve, batch_format="pyarrow")
+    return keyed_apply(ds, key, resolve, num_partitions,
+                       sort_by=_by(time, tiebreak))
 
 
 def keyed_ntile(ds, key: str, order_col: str, n_tiles: int,
@@ -347,57 +212,25 @@ def keyed_ntile(ds, key: str, order_col: str, n_tiles: int,
     """SQL NTILE(n) OVER (PARTITION BY key ORDER BY order_col):
     each key's rows split into n rank buckets whose sizes differ by at
     most one (larger buckets first), 1-based like SQL.  Same shape as
-    the other keyed window functions: one key-hash shuffle, a
-    per-partition lexsort, vectorized rank -> bucket arithmetic."""
-    nparts = _resolve_parts(ds, num_partitions)
-
-    def add_part(t: pa.Table) -> pa.Table:
-        k = t.column(key).to_numpy(zero_copy_only=False)
-        return t.append_column("__part",
-                               pa.array(_part(k, nparts)))
-
+    the other keyed window functions: one key-hash shuffle, then
+    vectorized rank -> bucket arithmetic over the sorted partition."""
     def resolve(t: pa.Table) -> pa.Table:
-        t = t.drop_columns(["__part"])
-        n = len(t)
-        if n == 0:
-            return t.append_column(out_col,
-                                   pa.array([], type=pa.int64()))
-        k = t.column(key).to_numpy(zero_copy_only=False)
-        ov = t.column(order_col).to_numpy(zero_copy_only=False)
-        ov = ov.view(np.int64) if ov.dtype.kind == "M" else ov
-        if tiebreak is not None:
-            tb = t.column(tiebreak).to_numpy(zero_copy_only=False)
-            order = np.lexsort((tb, ov, k))
-        else:
-            order = np.lexsort((ov, k))
-        ks = k[order]
-        first = np.empty(n, dtype=bool)
-        first[0] = True
-        first[1:] = ks[1:] != ks[:-1]
-        row = np.arange(n, dtype=np.int64)
-        run_start = np.maximum.accumulate(np.where(first, row, -1))
-        rank = row - run_start
-        # run length broadcast down each run (next start - this start)
-        starts_idx = np.nonzero(first)[0]
-        lens = np.diff(np.append(starts_idx, n))
-        run_len = np.repeat(lens, lens)
+        starts, counts = key_spans(_np(t, key))
+        rank = np.arange(len(t)) - np.repeat(starts, counts)
+        run_len = np.repeat(counts, counts)
         # SQL NTILE: q, rem = divmod(len, n_tiles); buckets 1..rem have
         # q+1 rows, the rest have q
         q, rem = run_len // n_tiles, run_len % n_tiles
         big = rem * (q + 1)
-        in_big = rank < big
         bucket = np.where(
-            in_big,
+            rank < big,
             rank // np.maximum(q + 1, 1),
             rem + (rank - big) // np.maximum(q, 1),
         ) + 1
-        inv = np.empty(n, dtype=np.int64)
-        inv[order] = np.arange(n)
-        return t.append_column(out_col,
-                               pa.array(bucket[inv].astype(np.int64)))
+        return t.append_column(out_col, pa.array(bucket, type=pa.int64()))
 
-    return ds.map_batches(add_part, batch_format="pyarrow") \
-        .groupby("__part").map_groups(resolve, batch_format="pyarrow")
+    return keyed_apply(ds, key, resolve, num_partitions,
+                       sort_by=_by(order_col, tiebreak))
 
 
 def keyed_string_agg(ds, key: str, time: str, value_col: str,
@@ -406,44 +239,20 @@ def keyed_string_agg(ds, key: str, time: str, value_col: str,
                      out_col: str = "agg"):
     """Order-sensitive aggregation: SQL's
     ``string_agg(value, sep ORDER BY time)`` per key.  One key-hash
-    shuffle, per-partition lexsort; the join loop is over KEY RUNS
-    (bounded by the partition's distinct keys), not rows."""
-    nparts = _resolve_parts(ds, num_partitions)
-
-    def add_part(t: pa.Table) -> pa.Table:
-        k = t.column(key).to_numpy(zero_copy_only=False)
-        return t.append_column("__part",
-                               pa.array(_part(k, nparts)))
-
+    shuffle; the join loop is over KEY RUNS (bounded by the
+    partition's distinct keys), not rows."""
     def resolve(t: pa.Table) -> pa.Table:
-        t = t.drop_columns(["__part"])
-        n = len(t)
-        if n == 0:
-            return pa.table({key: t.column(key),
-                             out_col: pa.array([], type=pa.string())})
-        k = t.column(key).to_numpy(zero_copy_only=False)
-        tv = t.column(time).to_numpy(zero_copy_only=False)
-        tv = tv.view(np.int64) if tv.dtype.kind == "M" else tv
-        if tiebreak is not None:
-            tb = t.column(tiebreak).to_numpy(zero_copy_only=False)
-            order = np.lexsort((tb, tv, k))
-        else:
-            order = np.lexsort((tv, k))
-        ks = k[order]
-        vals = np.asarray(t.column(value_col))[order]
-        first = np.empty(n, dtype=bool)
-        first[0] = True
-        first[1:] = ks[1:] != ks[:-1]
-        starts = np.nonzero(first)[0]
-        ends = np.append(starts[1:], n)
+        starts, counts = key_spans(_np(t, key))
+        vals = np.asarray(t.column(value_col))
         return pa.table({
-            key: pa.array(ks[starts]),
-            out_col: pa.array([sep.join(vals[s:e])
-                               for s, e in zip(starts, ends)]),
+            key: t.column(key).take(pa.array(starts, type=pa.int64())),
+            out_col: pa.array([sep.join(vals[s:s + c])
+                               for s, c in zip(starts, counts)],
+                              type=pa.string()),
         })
 
-    return ds.map_batches(add_part, batch_format="pyarrow") \
-        .groupby("__part").map_groups(resolve, batch_format="pyarrow")
+    return keyed_apply(ds, key, resolve, num_partitions,
+                       sort_by=_by(time, tiebreak))
 
 
 def keyed_lead(ds, key: str, time: str, value_cols: list[str],
@@ -452,47 +261,20 @@ def keyed_lead(ds, key: str, time: str, value_cols: list[str],
     within the key in time order (`{c}_lead` columns, null on each
     key's last row) — SQL's ``LEAD(c) OVER (PARTITION BY key ORDER BY
     time)``.  Mirror image of keyed_lag: one hash-partition shuffle,
-    one lexsort per partition, shifted gathers."""
-    nparts = _resolve_parts(ds, num_partitions)
-
-    def add_part(t: pa.Table) -> pa.Table:
-        k = t.column(key).to_numpy(zero_copy_only=False)
-        return t.append_column("__part",
-                               pa.array(_part(k, nparts)))
-
+    shifted gathers over the sorted partition."""
     def resolve(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        t = t.drop_columns(["__part"])
-        k = t.column(key).to_numpy(zero_copy_only=False)
-        tm = t.column(time).to_numpy(zero_copy_only=False)
-        tv = tm.view(np.int64) if tm.dtype.kind == "M" else tm
         n = len(t)
-        if n == 0:
-            for c in value_cols:
-                t = t.append_column(f"{c}_lead", t.column(c))
-            return t
-        if tiebreak is not None:
-            tb = t.column(tiebreak).to_numpy(zero_copy_only=False)
-            order = np.lexsort((tb, tv, k))
-        else:
-            order = np.lexsort((tv, k))
-        ks = k[order]
-        last = np.empty(n, dtype=bool)
-        last[-1] = True
-        last[:-1] = ks[1:] != ks[:-1]
-        nxt = np.concatenate([order[1:], [0]])
-        inv = np.empty(n, dtype=np.int64)
-        inv[order] = np.arange(n)
-        nxt_orig = nxt[inv]
-        last_orig = last[inv]
-        idx = pa.array(nxt_orig, type=pa.int64(), mask=last_orig)
+        starts, counts = key_spans(_np(t, key))
+        last = np.zeros(n, dtype=bool)
+        last[starts + counts - 1] = True
+        idx = pa.array(np.minimum(np.arange(n) + 1, max(n - 1, 0)),
+                       type=pa.int64(), mask=last)
         for c in value_cols:
-            t = t.append_column(f"{c}_lead", pc.take(t.column(c), idx))
+            t = t.append_column(f"{c}_lead", t.column(c).take(idx))
         return t
 
-    return ds.map_batches(add_part, batch_format="pyarrow") \
-        .groupby("__part").map_groups(resolve, batch_format="pyarrow")
+    return keyed_apply(ds, key, resolve, num_partitions,
+                       sort_by=_by(time, tiebreak))
 
 
 def keyed_percent_rank(ds, key: str, order_col: str,
@@ -502,46 +284,20 @@ def keyed_percent_rank(ds, key: str, order_col: str,
     order_col)`` = (rank - 1) / (key_count - 1), rank with ties
     sharing the first position.  Single-row keys get 0 (SQL's
     convention).  Same shuffle shape as keyed_dense_rank."""
-    nparts = _resolve_parts(ds, num_partitions)
-
-    def add_part(t: pa.Table) -> pa.Table:
-        k = t.column(key).to_numpy(zero_copy_only=False)
-        return t.append_column("__part",
-                               pa.array(_part(k, nparts)))
-
     def resolve(t: pa.Table) -> pa.Table:
-        t = t.drop_columns(["__part"])
-        n = len(t)
-        if n == 0:
-            return t.append_column(out_col,
-                                   pa.array([], type=pa.float64()))
-        k = t.column(key).to_numpy(zero_copy_only=False)
-        v = t.column(order_col).to_numpy(zero_copy_only=False)
-        vv = v.view(np.int64) if v.dtype.kind == "M" else v
-        order = np.lexsort((vv, k))
-        ks, vs = k[order], vv[order]
-        new_key = np.empty(n, dtype=bool)
-        new_key[0] = True
-        new_key[1:] = ks[1:] != ks[:-1]
-        pos = np.arange(n, dtype=np.int64)
-        key_start = np.maximum.accumulate(np.where(new_key, pos, 0))
+        starts, counts = key_spans(_np(t, key))
+        pos = np.arange(len(t), dtype=np.int64)
         # rank = first index of the tie run within the key, 1-based
-        new_val = new_key.copy()
-        new_val[1:] |= vs[1:] != vs[:-1]
+        new_val = _new_value(_np(t, order_col), starts)
         run_first = np.maximum.accumulate(np.where(new_val, pos, 0))
-        rank = run_first - key_start + 1
-        # key sizes: spread each key's count over its rows
-        starts = np.flatnonzero(new_key)
-        counts = np.diff(np.append(starts, n))
+        rank = run_first - np.repeat(starts, counts) + 1
         size = np.repeat(counts, counts)
         with np.errstate(invalid="ignore", divide="ignore"):
             pr = np.where(size > 1, (rank - 1) / (size - 1), 0.0)
-        inv = np.empty(n, dtype=np.int64)
-        inv[order] = np.arange(n)
-        return t.append_column(out_col, pa.array(pr[inv]))
+        return t.append_column(out_col, pa.array(pr, type=pa.float64()))
 
-    return ds.map_batches(add_part, batch_format="pyarrow") \
-        .groupby("__part").map_groups(resolve, batch_format="pyarrow")
+    return keyed_apply(ds, key, resolve, num_partitions,
+                       sort_by=(order_col,))
 
 
 def keyed_funnel(ds, key: str, time: str, type_col: str,
@@ -550,47 +306,29 @@ def keyed_funnel(ds, key: str, time: str, type_col: str,
     completed in strict time order (stage k+1 must first occur
     STRICTLY AFTER the key's first completion of stage k).
 
-    One hash-partition shuffle on the key; each partition sorts its
-    slice once and resolves every stage with one vectorized masked
-    minimum.reduceat pass — no per-user loop.  Output: one row per
-    key, ``(key, depth, t_complete)`` where depth in [0, len(stages)]
-    and t_complete is the completion time of the deepest stage (int64
-    microseconds; -1 when depth == 0).
+    One hash-partition shuffle on the key; each sorted partition
+    resolves every stage with one vectorized masked minimum.reduceat
+    pass — no per-user loop.  Output: one row per key, ``(key, depth,
+    t_complete)`` where depth in [0, len(stages)] and t_complete is
+    the completion time of the deepest stage (int64 microseconds; -1
+    when depth == 0).
     """
-    nparts = _resolve_parts(ds, num_partitions)
-
-    def add_part(t: pa.Table) -> pa.Table:
-        k = t.column(key).to_numpy(zero_copy_only=False)
-        return t.append_column("__part",
-                               pa.array(_part(k, nparts)))
-
     def resolve(t: pa.Table) -> pa.Table:
-        t = t.drop_columns(["__part"])
-        n = len(t)
-        if n == 0:
-            return pa.table({key: t.column(key),
-                             "depth": pa.array([], type=pa.int64()),
-                             "t_complete": pa.array([],
-                                                    type=pa.int64())})
-        k = t.column(key).to_numpy(zero_copy_only=False)
-        tm = t.column(time).to_numpy(zero_copy_only=False)
-        tv = tm.view(np.int64) if tm.dtype.kind == "M" \
+        starts, counts = key_spans(_np(t, key))
+        tm = _np(t, time)
+        ts_ = tm.view(np.int64) if tm.dtype.kind == "M" \
             else tm.astype(np.int64)
-        typ = t.column(type_col).to_numpy(zero_copy_only=False)
-        order = np.lexsort((tv, k))
-        ks, ts_, typs = k[order], tv[order], typ[order]
-        first = np.empty(n, dtype=bool)
-        first[0] = True
-        first[1:] = ks[1:] != ks[:-1]
-        starts = np.flatnonzero(first)
+        typs = _np(t, type_col)
         n_keys = len(starts)
-        seg = np.cumsum(first) - 1           # key index per row
+        seg = np.repeat(np.arange(n_keys), counts)   # key index per row
         INF = np.iinfo(np.int64).max
         prev_t = np.full(n_keys, np.iinfo(np.int64).min)
         depth = np.zeros(n_keys, dtype=np.int64)
         t_complete = np.full(n_keys, -1, dtype=np.int64)
         alive = np.ones(n_keys, dtype=bool)
         for s_name in stages:
+            if not alive.any():
+                break
             cand = np.where((typs == s_name)
                             & (ts_ > prev_t[seg])
                             & alive[seg], ts_, INF)
@@ -600,14 +338,12 @@ def keyed_funnel(ds, key: str, time: str, type_col: str,
             depth += hit.astype(np.int64)
             t_complete = np.where(hit, first_t, t_complete)
             alive = hit
-            if not alive.any():
-                break
-        return pa.table({key: pa.array(ks[starts]),
-                         "depth": pa.array(depth),
-                         "t_complete": pa.array(t_complete)})
+        return pa.table({
+            key: t.column(key).take(pa.array(starts, type=pa.int64())),
+            "depth": pa.array(depth),
+            "t_complete": pa.array(t_complete)})
 
-    return ds.map_batches(add_part, batch_format="pyarrow") \
-        .groupby("__part").map_groups(resolve, batch_format="pyarrow")
+    return keyed_apply(ds, key, resolve, num_partitions, sort_by=(time,))
 
 
 def keyed_rolling_mean(ds, key: str, time: str, value_col: str,
@@ -616,48 +352,21 @@ def keyed_rolling_mean(ds, key: str, time: str, value_col: str,
                        tiebreak: str | None = None):
     """Rows-frame moving average — SQL's ``AVG(v) OVER (PARTITION BY
     key ORDER BY time ROWS BETWEEN window_rows-1 PRECEDING AND CURRENT
-    ROW)``.  One shuffle + per-partition lexsort; the window sum is a
-    prefix-sum difference with the window start clamped at each key's
-    first row."""
+    ROW)``.  One shuffle; over the sorted partition the window sum is
+    a prefix-sum difference with the window start clamped at each
+    key's first row."""
     if window_rows < 1:
         raise ValueError("window_rows must be >= 1")
 
-    nparts = _resolve_parts(ds, num_partitions)
-
-    def add_part(t: pa.Table) -> pa.Table:
-        k = t.column(key).to_numpy(zero_copy_only=False)
-        return t.append_column("__part",
-                               pa.array(_part(k, nparts)))
-
     def resolve(t: pa.Table) -> pa.Table:
-        t = t.drop_columns(["__part"])
-        n = len(t)
-        if n == 0:
-            return t.append_column(out_col,
-                                   pa.array([], type=pa.float64()))
-        k = t.column(key).to_numpy(zero_copy_only=False)
-        tm = t.column(time).to_numpy(zero_copy_only=False)
-        tv = tm.view(np.int64) if tm.dtype.kind == "M" else tm
-        v = t.column(value_col).to_numpy(zero_copy_only=False) \
-            .astype(np.float64)
-        if tiebreak is not None:
-            tb = t.column(tiebreak).to_numpy(zero_copy_only=False)
-            order = np.lexsort((tb, tv, k))
-        else:
-            order = np.lexsort((tv, k))
-        ks, vs = k[order], v[order]
-        firstmask = np.empty(n, dtype=bool)
-        firstmask[0] = True
-        firstmask[1:] = ks[1:] != ks[:-1]
-        pos = np.arange(n, dtype=np.int64)
-        key_start = np.maximum.accumulate(np.where(firstmask, pos, 0))
-        win_start = np.maximum(pos - window_rows + 1, key_start)
-        csum = np.concatenate([[0.0], np.cumsum(vs)])
-        rsum = csum[pos + 1] - csum[win_start]
-        rmean = rsum / (pos + 1 - win_start)
-        inv = np.empty(n, dtype=np.int64)
-        inv[order] = np.arange(n)
-        return t.append_column(out_col, pa.array(rmean[inv]))
+        starts, counts = key_spans(_np(t, key))
+        v = _np(t, value_col).astype(np.float64)
+        pos = np.arange(len(t), dtype=np.int64)
+        win_start = np.maximum(pos - window_rows + 1,
+                               np.repeat(starts, counts))
+        csum = np.concatenate([[0.0], np.cumsum(v)])
+        rmean = (csum[pos + 1] - csum[win_start]) / (pos + 1 - win_start)
+        return t.append_column(out_col, pa.array(rmean, type=pa.float64()))
 
-    return ds.map_batches(add_part, batch_format="pyarrow") \
-        .groupby("__part").map_groups(resolve, batch_format="pyarrow")
+    return keyed_apply(ds, key, resolve, num_partitions,
+                       sort_by=_by(time, tiebreak))

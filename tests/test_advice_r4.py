@@ -267,8 +267,8 @@ def test_asof_skew_hot_key_buckets(ray_session):
     assert np.allclose(np.nan_to_num(gv), np.nan_to_num(wv))
 
     # the hot key's rows really do land in >1 partition slot
-    from proj_ray.stages.asof import _part
-    base = _part(np.array([42], dtype=np.int64), 4)[0]
+    from proj_ray.stages.partitioning import key_partition
+    base = key_partition(pa.array([42], type=pa.int64()), 4)[0]
     # dedicated slots start at num_partitions: simulate the assignment
     tm = lt[lk == 42]
     span = max(int(tm.max() - tm.min()), 1)

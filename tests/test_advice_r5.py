@@ -15,17 +15,17 @@ def test_geometry_bucket_key_is_process_independent():
     hash() is salted per worker process, so the same polygon_id could
     land in different __part values in different batches and split
     one ring across groupby groups."""
-    from proj_ray.spatial.geometry import _bucket_key
     from proj_ray.stages.agg import crc_bucket
+    from proj_ray.stages.partitioning import key_partition
 
     keys = pa.array([f"poly-{i:06d}" for i in range(64)])
     t = pa.table({"k": keys})
-    got = _bucket_key(t, "k", 16)
+    got = key_partition(t.column("k"), 16)
     want = crc_bucket(keys, 16)
     np.testing.assert_array_equal(got, want)
     # integer keys keep the multiplicative-hash fast path
     ti = pa.table({"k": pa.array(np.arange(64, dtype=np.int64))})
-    gi = _bucket_key(ti, "k", 16)
+    gi = key_partition(ti.column("k"), 16)
     assert gi.dtype == np.int64 and (gi >= 0).all() and (gi < 16).all()
 
 

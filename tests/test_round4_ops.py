@@ -1,28 +1,9 @@
-"""Round-4 coverage additions: dense rank, grouped mode,
-co-partitioned join, tile pyramid / regex scan queries."""
+"""Round-4 coverage additions: grouped mode, co-partitioned join,
+tile pyramid / regex scan queries."""
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-
-
-def test_keyed_dense_rank_matches_pandas(ray_session):
-    import ray.data as rd
-
-    from proj_ray.stages.windows import keyed_dense_rank
-
-    rng = np.random.default_rng(13)
-    n = 5_000
-    df = pd.DataFrame({
-        "k": rng.integers(0, 40, n).astype(np.int64),
-        "v": rng.integers(0, 25, n).astype(np.int64),  # plenty of ties
-        "rid": np.arange(n, dtype=np.int64)})
-    got = keyed_dense_rank(rd.from_pandas(df).repartition(7),
-                           key="k", order_col="v",
-                           num_partitions=5).to_pandas() \
-        .sort_values("rid").reset_index(drop=True)
-    want = df.groupby("k")["v"].rank(method="dense").astype(np.int64)
-    assert (got["drank"].to_numpy() == want.to_numpy()).all()
 
 
 def test_grouped_mode_matches_pandas(ray_session):

@@ -1,56 +1,10 @@
-"""Round-4 second-wave operators: keyed_lead, keyed_percent_rank,
-full-outer copartition_join, repetition quality signals."""
+"""Round-4 second-wave operators: full-outer copartition_join,
+repetition quality signals."""
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
-
-
-def test_keyed_lead_matches_pandas_shift(ray_session):
-    import ray.data as rd
-
-    from proj_ray.stages.windows import keyed_lead
-
-    rng = np.random.default_rng(11)
-    n = 500
-    df = pd.DataFrame({
-        "k": rng.integers(0, 20, n),
-        "t": rng.integers(0, 10_000, n),
-        "v": rng.normal(size=n),
-        "id": np.arange(n),
-    })
-    # unique (k, t) so the ordering is unambiguous
-    df = df.drop_duplicates(subset=["k", "t"]).reset_index(drop=True)
-    out = keyed_lead(rd.from_pandas(df).repartition(5), key="k",
-                     time="t", value_cols=["v"]).to_pandas()
-    want = df.sort_values(["k", "t"]).copy()
-    want["v_lead"] = want.groupby("k")["v"].shift(-1)
-    merged = out.sort_values("id").reset_index(drop=True)
-    wanted = want.sort_values("id").reset_index(drop=True)
-    pd.testing.assert_series_equal(merged["v_lead"], wanted["v_lead"],
-                                   check_names=False)
-
-
-def test_keyed_percent_rank_with_ties(ray_session):
-    import ray.data as rd
-
-    from proj_ray.stages.windows import keyed_percent_rank
-
-    df = pd.DataFrame({
-        "k": [1, 1, 1, 1, 2, 2, 3],
-        "v": [5.0, 1.0, 5.0, 9.0, 2.0, 2.0, 7.0],
-        "id": range(7),
-    })
-    out = keyed_percent_rank(rd.from_pandas(df).repartition(3),
-                             key="k", order_col="v").to_pandas() \
-        .sort_values("id").reset_index(drop=True)
-    # pandas rank(method="min"): prank = (rank-1)/(n-1), 0 for n==1
-    want = df.copy()
-    r = df.groupby("k")["v"].rank(method="min")
-    nn = df.groupby("k")["v"].transform("size")
-    want["prank"] = np.where(nn > 1, (r - 1) / (nn - 1), 0.0)
-    np.testing.assert_allclose(out["prank"], want["prank"])
 
 
 def test_copartition_join_full_outer_both_sides(ray_session):
@@ -147,54 +101,6 @@ def test_copartition_agg_join_modes(ray_session):
             row7 = out[out["k"] == 7].iloc[0]
             assert row7["s"] == 3.0 and row7["n"] == 4
             assert pd.isna(row7["name"])
-
-
-def test_keyed_funnel_strict_ordering(ray_session):
-    import ray.data as rd
-
-    from proj_ray.stages.windows import keyed_funnel
-
-    # user 1: full funnel in order; user 2: B before A (depth 1 only
-    # after A appears later with no B after it); user 3: A only;
-    # user 4: none of the stages
-    t = pa.table({
-        "u": [1, 1, 1, 2, 2, 3, 4],
-        "ts": pa.array([10, 20, 30, 5, 8, 7, 9], type=pa.int64()),
-        "typ": ["A", "B", "C", "B", "A", "A", "X"],
-    })
-    out = {r["u"]: (r["depth"], r["t_complete"])
-           for r in keyed_funnel(rd.from_arrow(t), key="u", time="ts",
-                                 type_col="typ",
-                                 stages=["A", "B", "C"]).take_all()}
-    assert out[1] == (3, 30)
-    assert out[2] == (1, 8)   # B at 5 precedes first A -> not counted
-    assert out[3] == (1, 7)
-    assert out[4] == (0, -1)
-
-
-def test_keyed_rolling_mean_matches_pandas(ray_session):
-    import ray.data as rd
-
-    from proj_ray.stages.windows import keyed_rolling_mean
-
-    rng = np.random.default_rng(5)
-    n = 400
-    df = pd.DataFrame({
-        "k": rng.integers(0, 15, n),
-        "t": np.arange(n),
-        "v": rng.normal(size=n),
-        "id": np.arange(n),
-    })
-    out = keyed_rolling_mean(
-        rd.from_arrow(pa.Table.from_pandas(df)), key="k", time="t",
-        value_col="v", window_rows=4).to_pandas() \
-        .sort_values("id").reset_index(drop=True)
-    want = df.sort_values(["k", "t"]).copy()
-    want["rmean"] = want.groupby("k")["v"].transform(
-        lambda s: s.rolling(4, min_periods=1).mean())
-    want = want.sort_values("id").reset_index(drop=True)
-    np.testing.assert_allclose(out["rmean"], want["rmean"],
-                               atol=1e-12)
 
 
 def test_contamination_flags_hand_case(ray_session):
