@@ -17,7 +17,7 @@ flagship  run the resumable sharded flagship: doc-id-range partitions
           through per-partition checkpoint manifests (lineage +
           metrics); re-submitting after a failure recomputes ONLY
           shards without a valid manifest.  --shards sets both the
-          checkpoint granularity and the task count (one Ray Data
+          checkpoint granularity and the task count (one Ray
           task per pending shard).
 """
 

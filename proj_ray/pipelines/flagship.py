@@ -11,13 +11,18 @@ stages; the only all-to-all exchange is the final small groupby(tile)
 over pre-aggregated partials.
 
 `resumable_flagship` runs the same fused chain over checkpointed
-doc-id shards, one Ray Data task per pending shard.
+doc-id shards, one plain Ray task per pending shard: its input and
+output are a handful of shard ids, so nothing streams and Ray Data's
+fixed per-execution cost would buy nothing.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
+import ray
 
 from proj_ray.docs.spans import extract_coords_batch
 from proj_ray.docs.synth import (doc_dataset, doc_dataset_from_documents,
@@ -34,8 +39,6 @@ _WORKER_STATE: dict = {}
 
 
 def _get_state(index_ref, zoom: int):
-    import ray
-
     key = (getattr(index_ref, "hex", lambda: id(index_ref))(), zoom)
     st = _WORKER_STATE.get(key)
     if st is None:
@@ -95,14 +98,19 @@ _TILE_AGGS = [("n_points", "sum"), ("n_joined", "sum"),
               ("x_sum", "sum"), ("y_sum", "sum"), ("utmx_sum", "sum")]
 
 
+@functools.lru_cache(maxsize=8)
+def _polygon_index(n_polygons: int) -> PolygonIndex:
+    """The broadcast polygon index, built once per driver process: it
+    is deterministic (make_polygons' default seed) and probes never
+    mutate it."""
+    return PolygonIndex(make_polygons(n_polygons), 5.0)
+
+
 def _tile_partials(docs, zoom: int, n_polygons: int):
     """docs -> coord spans -> transform+join+tile partials (the fused
     stateless chain shared by the one-shot and resumable runners)."""
-    import ray
-
     coords = docs.map_batches(extract_coords_batch, batch_format="pyarrow")
-    index = PolygonIndex(make_polygons(n_polygons), 5.0)
-    ref = ray.put(index)
+    ref = ray.put(_polygon_index(n_polygons))
     # stateless tasks (not an actor pool): worker processes stay warm
     # across runs and elastically fill every core
     return coords.map_batches(
@@ -144,34 +152,37 @@ def _shard_id(i: int) -> str:
     return f"shard-{i:05d}"
 
 
-def _checkpoint_shards(batch: pa.Table, bounds, root: str,
-                       config: dict, index_ref, zoom: int) -> pa.Table:
-    """map_batches body, one row = one pending shard: synthesize the
-    shard's doc-id range chunk by chunk through the fused flagship
-    chain, combine its tile partials, and checkpoint them from inside
-    the worker (manifest last).  Only a one-row ack per shard returns."""
+@ray.remote
+def _checkpoint_shard(i: int, bounds, root: str, config: dict, index_ref,
+                      zoom: int) -> int:
+    """One pending shard as one Ray task: synthesize the shard's doc-id
+    range chunk by chunk through the fused flagship chain, combine its
+    tile partials, and checkpoint them from inside the worker (manifest
+    last).  Returns the shard id.
+
+    `index_ref` is a one-element list holding the index's ObjectRef.
+    Nested, Ray passes the ref itself rather than resolving it, so
+    `_get_state` keys on the same ref for every shard of a pass and a
+    worker fetches the index once per pass."""
     from proj_ray.stages.agg import combine_block
     from proj_ray.state.checkpoint import CheckpointWriter
 
-    writer = CheckpointWriter(root, config)
-    acks = []
-    for i in batch.column("shard").to_pylist():
-        lo, hi = int(bounds[i]), int(bounds[i + 1])
-        parts = [
-            transform_join_tile(
-                extract_coords_batch(make_doc_batch(
-                    np.arange(s, min(s + _DOC_CHUNK, hi), dtype=np.int64))),
-                index_ref, zoom)
-            # lo + 1: an empty shard (n_docs < n_shards) still
-            # checkpoints an empty partial table
-            for s in range(lo, max(hi, lo + 1), _DOC_CHUNK)]
-        table = combine_block(pa.concat_tables(parts), ["tile"], _TILE_AGGS)
-        writer.write_partition(
-            _shard_id(i), table,
-            lineage={"partition": _shard_id(i), "doc_id_range": [lo, hi]},
-            metrics={"rows": table.num_rows})
-        acks.append(i)
-    return pa.table({"shard": pa.array(acks, type=pa.int64())})
+    (ref,) = index_ref
+    lo, hi = int(bounds[i]), int(bounds[i + 1])
+    parts = [
+        transform_join_tile(
+            extract_coords_batch(make_doc_batch(
+                np.arange(s, min(s + _DOC_CHUNK, hi), dtype=np.int64))),
+            ref, zoom)
+        # lo + 1: an empty shard (n_docs < n_shards) still
+        # checkpoints an empty partial table
+        for s in range(lo, max(hi, lo + 1), _DOC_CHUNK)]
+    table = combine_block(pa.concat_tables(parts), ["tile"], _TILE_AGGS)
+    CheckpointWriter(root, config).write_partition(
+        _shard_id(i), table,
+        lineage={"partition": _shard_id(i), "doc_id_range": [lo, hi]},
+        metrics={"rows": table.num_rows})
+    return i
 
 
 def resumable_flagship(n_docs: int, n_shards: int, root: str,
@@ -183,33 +194,35 @@ def resumable_flagship(n_docs: int, n_shards: int, root: str,
     manifest.
 
     `n_shards` sets both the checkpoint granularity and the task count:
-    all pending shards run as one Ray Data execution with one task per
-    shard, each task checkpointing its own shard, so the driver sees
-    only acks.  The final tile table re-aggregates the checkpointed
-    partials — associative, so shard boundaries never change the
-    answer.  Returns (tile_table, n_computed, n_skipped)."""
-    import ray
-    import ray.data as rd
-
+    every pending shard runs as one Ray task that checkpoints its own
+    shard, so the driver sees only shard ids.  The driver waits for
+    every task before it collects them, so a failed shard raises only
+    once all the others have finished and checkpointed.  The final tile
+    table re-aggregates the checkpointed partials — associative, so
+    shard boundaries never change the answer.  Raises ValueError for
+    n_shards < 1 or n_docs < 0 before anything is written.  Returns
+    (tile_table, n_computed, n_skipped)."""
     from proj_ray.stages.agg import combine_block
     from proj_ray.state.checkpoint import CheckpointWriter
 
+    if n_shards < 1:
+        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
+    if n_docs < 0:
+        raise ValueError(f"n_docs must be >= 0, got {n_docs}")
     config = {"n_docs": n_docs, "n_shards": n_shards, "zoom": zoom,
               "n_polygons": n_polygons}
     writer = CheckpointWriter(root, config)
     pending = [i for i in range(n_shards)
                if not writer.is_done(_shard_id(i))]
-    acks = []
     if pending:
         bounds = np.linspace(0, n_docs, n_shards + 1).astype(np.int64)
-        index_ref = ray.put(PolygonIndex(make_polygons(n_polygons), 5.0))
-        acks = rd.from_items([{"shard": i} for i in pending],
-                             override_num_blocks=len(pending)) \
-            .map_batches(
-                _checkpoint_shards, batch_format="pyarrow", batch_size=1,
-                fn_kwargs={"bounds": bounds,
-                           "root": root, "config": config,
-                           "index_ref": index_ref, "zoom": zoom}) \
-            .take_all()
+        index_ref = [ray.put(_polygon_index(n_polygons))]
+        refs = [_checkpoint_shard.remote(i, bounds, root, config,
+                                         index_ref, zoom)
+                for i in pending]
+        # wait for every task first: a failed shard must not return
+        # before the other shards have checkpointed
+        ray.wait(refs, num_returns=len(refs))
+        ray.get(refs)
     tiles = combine_block(writer.read_all(), ["tile"], _TILE_AGGS)
-    return tiles, len(acks), n_shards - len(pending)
+    return tiles, len(pending), n_shards - len(pending)

@@ -352,21 +352,24 @@ def keyed_rolling_mean(ds, key: str, time: str, value_col: str,
                        tiebreak: str | None = None):
     """Rows-frame moving average — SQL's ``AVG(v) OVER (PARTITION BY
     key ORDER BY time ROWS BETWEEN window_rows-1 PRECEDING AND CURRENT
-    ROW)``.  One shuffle; over the sorted partition the window sum is
-    a prefix-sum difference with the window start clamped at each
-    key's first row."""
+    ROW)``.  One shuffle; over the sorted partition each window is
+    summed from its own rows, one vectorized add per window offset
+    (current row first), so a mean depends only on its window's values
+    and never on other rows of the partition."""
     if window_rows < 1:
         raise ValueError("window_rows must be >= 1")
 
     def resolve(t: pa.Table) -> pa.Table:
         starts, counts = key_spans(_np(t, key))
         v = _np(t, value_col).astype(np.float64)
-        pos = np.arange(len(t), dtype=np.int64)
-        win_start = np.maximum(pos - window_rows + 1,
-                               np.repeat(starts, counts))
-        csum = np.concatenate([[0.0], np.cumsum(v)])
-        rmean = (csum[pos + 1] - csum[win_start]) / (pos + 1 - win_start)
-        return t.append_column(out_col, pa.array(rmean, type=pa.float64()))
+        # rows in each row's window: clamped at its key's first row
+        n_win = np.minimum(np.arange(len(t)) - np.repeat(starts, counts) + 1,
+                           window_rows)
+        total = v.copy()
+        for k in range(1, min(window_rows, int(counts.max(initial=0)))):
+            np.add(total[k:], v[:-k], out=total[k:], where=n_win[k:] > k)
+        return t.append_column(out_col,
+                               pa.array(total / n_win, type=pa.float64()))
 
     return keyed_apply(ds, key, resolve, num_partitions,
                        sort_by=_by(time, tiebreak))

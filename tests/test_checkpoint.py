@@ -109,37 +109,76 @@ def test_resumable_flagship_matches_oneshot_and_skips(tmp_path,
 
 def test_resumable_flagship_failed_shard_leaves_no_torn_output(
         tmp_path, ray_session):
-    """A shard whose write fails in its worker raises out of the run,
-    leaves neither a manifest nor a temp dir, and does not disturb the
-    shards that finished; the re-run computes only what is pending."""
-    from ray.data.exceptions import UserCodeException
-
+    """A shard whose write fails in its worker raises out of the run
+    with its own error type, leaves neither a manifest nor a temp dir,
+    and raises only after every other shard has checkpointed, also
+    the 12 queued behind the fixture's 4 CPUs; the re-run computes only
+    the failed shard."""
     from proj_ray.pipelines.flagship import resumable_flagship
 
     root = str(tmp_path / "ckpt")
-    n_docs, n_shards = 4000, 4
+    n_docs, n_shards = 8000, 16
     pids = [f"shard-{i:05d}" for i in range(n_shards)]
     os.makedirs(root)
-    blocker = os.path.join(root, "part=shard-00002")
+    blocker = os.path.join(root, "part=shard-00000")
     with open(blocker, "w") as f:
         f.write("not a partition dir")
 
-    with pytest.raises(UserCodeException, match="Not a directory"):
+    with pytest.raises(NotADirectoryError, match="Not a directory"):
         resumable_flagship(n_docs, n_shards, root)
     names = os.listdir(root)
-    assert "_manifest_shard-00002.json" not in names
+    assert "_manifest_shard-00000.json" not in names
     assert not [n for n in names if n.startswith(".tmp_")], names
     w = CheckpointWriter(root, {"n_docs": n_docs, "n_shards": n_shards,
                                 "zoom": 8, "n_polygons": 64})
-    finished = [p for p in pids if f"_manifest_{p}.json" in names]
-    assert all(w.is_done(p) for p in finished)
+    assert w.pending(pids) == ["shard-00000"]
 
     os.remove(blocker)
-    pending = w.pending(pids)
-    assert "shard-00002" in pending
     tiles, computed, skipped = resumable_flagship(n_docs, n_shards, root)
-    assert (computed, skipped) == (len(pending), n_shards - len(pending))
+    assert (computed, skipped) == (1, n_shards - 1)
     assert_tiles_match_oneshot(tiles, n_docs)
+
+
+@pytest.mark.parametrize("n_docs,n_shards", [(4000, 0), (4000, -1),
+                                             (-1, 4)])
+def test_resumable_flagship_rejects_bad_sizes(tmp_path, n_docs, n_shards):
+    """A shard count below 1 or a negative doc count raises ValueError
+    before the checkpoint root is created or written."""
+    from proj_ray.pipelines.flagship import resumable_flagship
+
+    root = str(tmp_path / "ckpt")
+    with pytest.raises(ValueError, match="n_shards|n_docs"):
+        resumable_flagship(n_docs, n_shards, root)
+    assert not os.path.exists(root)
+    os.makedirs(root)
+    with pytest.raises(ValueError, match="n_shards|n_docs"):
+        resumable_flagship(n_docs, n_shards, root)
+    assert os.listdir(root) == []
+
+
+def test_polygon_index_cache_matches_fresh_build(tmp_path, ray_session):
+    """The driver's cached broadcast index is built once, equals a
+    fresh build, and is left intact by the runs that probe it."""
+    import numpy as np
+
+    from proj_ray.pipelines.flagship import (_polygon_index,
+                                             resumable_flagship)
+    from proj_ray.spatial.pip import PolygonIndex, make_polygons
+
+    cached = _polygon_index(64)
+    assert _polygon_index(64) is cached
+    tiles, _, _ = resumable_flagship(4000, 4, str(tmp_path / "ckpt"))
+    fresh = PolygonIndex(make_polygons(64), 5.0)
+    assert cached.polygon_id == fresh.polygon_id
+    for name in ("cell_keys", "cell_start", "cell_poly"):
+        np.testing.assert_array_equal(getattr(cached, name),
+                                      getattr(fresh, name), err_msg=name)
+    for name in ("xi", "yi", "xj", "yj", "x0", "x1", "y0", "y1"):
+        np.testing.assert_array_equal(getattr(cached.edges, name),
+                                      getattr(fresh.edges, name),
+                                      err_msg=name)
+    # the one-shot flagship probes the same cached index afterwards
+    assert_tiles_match_oneshot(tiles, 4000)
 
 
 def test_resumable_flagship_more_shards_than_docs(tmp_path, ray_session):

@@ -356,3 +356,42 @@ def test_keyed_rolling_mean_matches_pandas(ray_session):
     want = want.sort_values("id").reset_index(drop=True)
     np.testing.assert_allclose(out["rmean"], want["rmean"],
                                atol=1e-12)
+
+
+def test_keyed_rolling_mean_window_sums_only_its_rows(ray_session):
+    """A huge value elsewhere in the partition (another key's, or an
+    earlier row of the same key) must not cost a window precision, and
+    the result must not depend on which keys share a partition."""
+    import ray.data as rd
+
+    from proj_ray.stages.windows import keyed_rolling_mean
+
+    rng = np.random.default_rng(13)
+    n, w = 4000, 4
+    v = rng.normal(size=n)
+    big = np.arange(n) % 50 == 7   # 1 value in 50 scaled by 1e12
+    v[big] *= 1e12
+    df = pd.DataFrame({"k": rng.integers(0, 50, n), "t": np.arange(n),
+                       "v": v, "id": np.arange(n)})
+
+    def run(parts):
+        return keyed_rolling_mean(
+            rd.from_arrow(pa.Table.from_pandas(df)), key="k", time="t",
+            value_col="v", window_rows=w, num_partitions=parts) \
+            .to_pandas().sort_values("id")["rmean"].to_numpy()
+
+    one, many = run(1), run(64)
+    assert np.array_equal(one.view(np.int64), many.view(np.int64))
+
+    srt = df.sort_values(["k", "t"])
+    want, scale = np.empty(n), np.empty(n)
+    for _, g in srt.groupby("k", sort=False):
+        vals, ids = g["v"].to_numpy(), g["id"].to_numpy()
+        for j in range(len(g)):
+            win = vals[max(0, j - w + 1):j + 1]
+            want[ids[j]] = win.mean()
+            scale[ids[j]] = np.abs(win).mean()
+    # relative to the window's magnitude: a mean near 0 cancels
+    small = scale < 1e3
+    assert small.sum() > n // 2
+    assert (np.abs(one - want)[small] <= 1e-12 * scale[small]).all()
