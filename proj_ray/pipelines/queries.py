@@ -2001,9 +2001,11 @@ def q_events_resample(sf_dir: str):
             [("tmin", "min"), ("tmax", "max")])
         return out.rename_columns(["user_id", "tmin", "tmax"])
 
+    # materialized (one row per user): with one Ray CPU, the as-of
+    # join's exchange over a union holding this exchange never finishes
     bounds = hash_shuffle_aggregate(
         ev.map_batches(bounds_partial, batch_format="pyarrow"),
-        ["user_id"], [("tmin", "min"), ("tmax", "max")])
+        ["user_id"], [("tmin", "min"), ("tmax", "max")]).materialize()
 
     HOUR = 3_600_000_000  # microseconds
 

@@ -8,8 +8,9 @@ Three strategies, picked by build-side size (SURVEY.md §2.8/§7):
   dimension-table-sized polygon sets and scales to any point count.
 
 * shuffle_pip_join — large build side: polygons replicate to every
-  covering cell, points key by their cell, one `groupby(cell)` co-locates
-  both, and `map_groups` refines exactly.  Skewed cells are salted:
+  covering cell, points key by their cell, one two-input keyed exchange
+  (`keyed_cogroup`) co-locates both, and each partition refines
+  exactly.  Skewed cells are salted:
   a `groupby(cell).count()` over a sample detects hot cells
   (detect_hot_cells), hot points get `cell*S + hash%S` sub-keys and hot
   polygons replicate to all S sub-keys — join output is row-identical
@@ -115,40 +116,29 @@ def detect_hot_cells(coords_ds, res_deg: float = 5.0,
 
 def shuffle_pip_join(coords_ds, polygons: Dict, res_deg: float = 5.0,
                      salt: Optional[Dict[int, int]] = None):
-    """groupby-based spatial join for large build sides.
+    """Keyed-exchange spatial join for large build sides.
 
     Points map to salted cell keys; polygons replicate to every covering
-    cell (all salt sub-keys for hot cells); one groupby co-locates and
-    refines.  Key = cell * 64 + salt_bucket.
+    cell (all salt sub-keys for hot cells); one keyed exchange
+    co-locates and refines.  Key = cell * 64 + salt_bucket.
     """
     import ray.data as rd
 
+    from proj_ray.stages.partitioning import keyed_cogroup
+
     salt = salt or {}
     SALT_MAX = 64
-    doc_id_type = coords_ds.schema().base_schema.field("doc_id").type
-    doc_is_str = pa.types.is_string(doc_id_type)
-    doc_fill = "" if doc_is_str else 0
 
     # polygon side: replicate to covering cells (+ salt replicas)
-    poly_rows = {"key": [], "poly_idx": []}
+    keys, poly_idx = [], []
     rings = [np.asarray(r) for r in polygons["rings"]]
-    ids = list(polygons["polygon_id"])
     for pi, ring in enumerate(rings):
-        for cell in polygon_covering_cells(ring, res_deg):
+        for cell in np.unique(polygon_covering_cells(ring, res_deg)):
             buckets = salt.get(int(cell), 1)
-            for b in range(buckets):
-                poly_rows["key"].append(int(cell) * SALT_MAX + b)
-                poly_rows["poly_idx"].append(pi)
-    poly_table = pa.table({
-        "key": pa.array(poly_rows["key"], type=pa.int64()),
-        "poly_idx": pa.array(poly_rows["poly_idx"], type=pa.int64()),
-        "side": pa.array(np.zeros(len(poly_rows["key"]), dtype=np.int8)),
-        "doc_id": pa.array([doc_fill] * len(poly_rows["key"]),
-                           type=doc_id_type),
-        "offset": pa.array(np.zeros(len(poly_rows["key"]), dtype=np.int32)),
-        "lon": pa.array(np.zeros(len(poly_rows["key"]))),
-        "lat": pa.array(np.zeros(len(poly_rows["key"]))),
-    })
+            keys.extend(int(cell) * SALT_MAX + b for b in range(buckets))
+            poly_idx.extend([pi] * buckets)
+    poly_table = pa.table({"key": pa.array(keys, type=pa.int64()),
+                           "poly_idx": pa.array(poly_idx, type=pa.int64())})
 
     def key_points(batch: pa.Table) -> pa.Table:
         lon = batch.column("lon").to_numpy(zero_copy_only=False)
@@ -164,40 +154,41 @@ def shuffle_pip_join(coords_ds, polygons: Dict, res_deg: float = 5.0,
             for c, s in salt.items():
                 mask = cell == c
                 bucket = np.where(mask, h % s, bucket)
-        key = cell * SALT_MAX + bucket
         return pa.table({
-            "key": pa.array(key),
-            "poly_idx": pa.array(np.full(len(key), -1, dtype=np.int64)),
-            "side": pa.array(np.ones(len(key), dtype=np.int8)),
+            "key": pa.array(cell * SALT_MAX + bucket),
             "doc_id": batch.column("doc_id"),
             "offset": batch.column("offset"),
             "lon": batch.column("lon"),
             "lat": batch.column("lat"),
         })
 
-    pts = coords_ds.map_batches(key_points, batch_format="pyarrow")
-    both = pts.union(rd.from_arrow(poly_table))
     edges = PolygonEdges(rings)
-    ids_arr = np.asarray(ids, dtype=object)
+    ids_arr = np.asarray(list(polygons["polygon_id"]), dtype=object)
 
-    def refine(group: pa.Table) -> pa.Table:
-        side = group.column("side").to_numpy(zero_copy_only=False)
-        polys = np.unique(group.column("poly_idx").to_numpy(
-            zero_copy_only=False)[side == 0])
-        pmask = side == 1
-        lon = group.column("lon").to_numpy(zero_copy_only=False)[pmask]
-        lat = group.column("lat").to_numpy(zero_copy_only=False)[pmask]
-        # every point of the group is a candidate for every polygon
-        pts, hit = edges.match(lon, lat, np.zeros(len(lon), dtype=np.int64),
-                               np.full(len(lon), len(polys)), polys)
-        sel = pa.array(np.flatnonzero(pmask)[pts])
+    def refine(pts: pa.Table, cells: pa.Table) -> pa.Table:
+        # (first, cnt, cand) CSR: each point's candidates are the
+        # polygon rows of its own key
+        ck = cells.column("key").to_numpy(zero_copy_only=False)
+        order = np.argsort(ck, kind="stable")
+        ck = ck[order]
+        cand = cells.column("poly_idx").to_numpy(zero_copy_only=False)[order]
+        pk = pts.column("key").to_numpy(zero_copy_only=False)
+        first = np.searchsorted(ck, pk, side="left")
+        cnt = np.searchsorted(ck, pk, side="right") - first
+        p, hit = edges.match(
+            pts.column("lon").to_numpy(zero_copy_only=False),
+            pts.column("lat").to_numpy(zero_copy_only=False),
+            first, cnt, cand)
+        sel = pa.array(p)
         return pa.table({
-            "doc_id": group.column("doc_id").take(sel),
-            "offset": group.column("offset").take(sel),
+            "doc_id": pts.column("doc_id").take(sel),
+            "offset": pts.column("offset").take(sel),
             "polygon_id": pa.array(ids_arr[hit], type=pa.string()),
         })
 
-    return both.groupby("key").map_groups(refine, batch_format="pyarrow")
+    return keyed_cogroup(
+        coords_ds.map_batches(key_points, batch_format="pyarrow"),
+        rd.from_arrow(poly_table), "key", refine)
 
 
 # ---------------------------------------------------------------------------

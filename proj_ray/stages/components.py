@@ -21,12 +21,12 @@ Ray Data shape per round (NO Acero joins — immune to the
 empty-hash-partition ArrowInvalid that tiny streams split too many
 ways produce, cf. the round-2 minhash_pairs crash):
 
-1. edges (static, symmetrized, materialized once) and current labels
-   are co-partitioned by hash(src)/hash(node) into the same __part
-   space and unioned;
-2. one groupby(__part).map_groups resolves, vectorized: label rows
-   build a sorted (node -> label) view, edge rows emit
-   (dst, label[src]) messages, label rows re-emit themselves;
+1. `partitioning.keyed_cogroup` co-partitions the edges (static,
+   symmetrized, materialized once) on src with the current labels on
+   node;
+2. each partition resolves, vectorized: the labels build a sorted
+   (node -> label) view, every edge emits (dst, label[src]), and every
+   label re-emits itself;
 3. hash_shuffle_aggregate min(label) by node produces next labels.
 
 Convergence check is O(1) on the driver: labels only ever decrease,
@@ -119,7 +119,7 @@ def connected_components(pairs, col_a: str = "doc_a",
     import ray.data as rd
 
     from proj_ray.stages.agg import hash_shuffle_aggregate
-    from proj_ray.stages.partitioning import key_partition
+    from proj_ray.stages.partitioning import keyed_cogroup
 
     if isinstance(pairs, pd.DataFrame):
         if pairs.empty:
@@ -155,9 +155,7 @@ def connected_components(pairs, col_a: str = "doc_a",
         b = t.column(col_b).to_numpy(zero_copy_only=False).astype(np.int64)
         src = np.concatenate([a, b])
         dst = np.concatenate([b, a])
-        return pa.table({"src": pa.array(src), "dst": pa.array(dst),
-                         "__part": pa.array(
-                             key_partition(pa.array(src), num_buckets))})
+        return pa.table({"src": pa.array(src), "dst": pa.array(dst)})
 
     edges = pairs.map_batches(edge_batch,
                               batch_format="pyarrow").materialize()
@@ -178,35 +176,16 @@ def connected_components(pairs, col_a: str = "doc_a",
     ).materialize()
     prev_sum = _label_sum(labels)
 
-    def tag_labels(t: pa.Table) -> pa.Table:
-        # schema-align with edges: label rows carry dst = -1 sentinel
-        # (never read — resolve() splits rows on it)
-        return pa.table({
-            "src": t.column("node"),
-            "dst": pa.array(np.full(len(t), -1, dtype=np.int64)),
-            "label": t.column("label"),
-            "__part": pa.array(key_partition(t.column("node"),
-                                             num_buckets)),
-        })
-
-    def widen_edges(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "label", pa.array(np.full(len(t), -1, dtype=np.int64)))
-
-    def resolve(t: pa.Table) -> pa.Table:
-        """One co-partitioned propagation step: within this partition
-        every edge row looks up its src's current label and proposes it
-        to dst; label rows re-propose themselves (keeps min sticky)."""
-        dst = t.column("dst").to_numpy(zero_copy_only=False)
-        src = t.column("src").to_numpy(zero_copy_only=False)
-        lab = t.column("label").to_numpy(zero_copy_only=False)
-        is_label = dst == -1
-        lnode = src[is_label]
-        lval = lab[is_label]
+    def resolve(e: pa.Table, lab: pa.Table) -> pa.Table:
+        """One co-partitioned propagation step: every edge looks up its
+        src's current label and proposes it to dst; labels re-propose
+        themselves (keeps min sticky)."""
+        lnode = lab.column("node").to_numpy(zero_copy_only=False)
+        lval = lab.column("label").to_numpy(zero_copy_only=False)
         order = np.argsort(lnode)
         lnode, lval = lnode[order], lval[order]
-        esrc = src[~is_label]
-        edst = dst[~is_label]
+        esrc = e.column("src").to_numpy(zero_copy_only=False)
+        edst = e.column("dst").to_numpy(zero_copy_only=False)
         if len(lnode) == 0:
             src_lab = esrc
         else:
@@ -223,11 +202,9 @@ def connected_components(pairs, col_a: str = "doc_a",
 
     converged = False
     for _ in range(max_iters):
-        both = edges.map_batches(widen_edges, batch_format="pyarrow") \
-            .union(labels.map_batches(tag_labels, batch_format="pyarrow"))
         labels = hash_shuffle_aggregate(
-            both.groupby("__part").map_groups(resolve,
-                                              batch_format="pyarrow"),
+            keyed_cogroup(edges, labels, "src", resolve,
+                          num_partitions=num_buckets, right_key="node"),
             ["node"], [("label", "min")], num_buckets=num_buckets
         ).materialize()
         cur_sum = _label_sum(labels)
@@ -261,11 +238,11 @@ def near_dup_filter(docs_ds, pairs, id_col: str = "doc_id",
     of the pair graph).
 
     Shape: components label only docs that appear in pairs; victims
-    (component != node) flow into the same hash-bucket shuffle as the
-    corpus and are dropped co-partitioned — one corpus pass, no
-    driver-side id set, no Acero join."""
+    (component != node) are co-partitioned with the corpus on the id
+    (`partitioning.keyed_cogroup`) and dropped there — one corpus pass,
+    no driver-side id set, no Acero join."""
     from proj_ray.stages.partitioning import (derive_num_partitions,
-                                              key_partition)
+                                              keyed_cogroup)
 
     if num_buckets is None:
         num_buckets = derive_num_partitions(docs_ds, default=32)
@@ -274,62 +251,22 @@ def near_dup_filter(docs_ds, pairs, id_col: str = "doc_id",
     def victims_batch(t: pa.Table) -> pa.Table:
         node = t.column("node").to_numpy(zero_copy_only=False)
         comp = t.column("component").to_numpy(zero_copy_only=False)
-        v = node[comp != node]
-        return pa.table({id_col: pa.array(v),
-                         "__drop": pa.array(np.ones(len(v), dtype=np.int8))})
+        return pa.table({id_col: pa.array(node[comp != node])})
 
-    def docs_tag(t: pa.Table) -> pa.Table:
-        cols = {name: t.column(name) for name in t.column_names}
-        cols["__drop"] = pa.array(np.zeros(len(t), dtype=np.int8))
-        return pa.table(cols)
+    def drop(docs: pa.Table, victims: pa.Table) -> pa.Table:
+        bad = np.unique(victims.column(id_col).to_numpy(
+            zero_copy_only=False))
+        if len(bad) == 0:
+            return docs
+        ids = docs.column(id_col).to_numpy(zero_copy_only=False)
+        pos = np.minimum(np.searchsorted(bad, ids), len(bad) - 1)
+        return docs.filter(pa.array(bad[pos] != ids))
 
-    victims = labels.map_batches(victims_batch, batch_format="pyarrow")
-
-    def add_part(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "__part", pa.array(key_partition(t.column(id_col),
-                                             num_buckets)))
-
-    # victims carry only (id, __drop); widen to the doc schema lazily
-    # inside the group resolve instead of shipping null doc columns
-    tagged_docs = docs_ds.map_batches(docs_tag, batch_format="pyarrow") \
-        .map_batches(add_part, batch_format="pyarrow")
-    tagged_victims = victims.map_batches(add_part,
-                                         batch_format="pyarrow")
-
-    def drop_group(t: pa.Table) -> pa.Table:
-        ids = t.column(id_col).to_numpy(zero_copy_only=False)
-        dr = t.column("__drop").to_numpy(zero_copy_only=False)
-        bad = np.unique(ids[dr == 1])
-        keep_mask = np.ones(len(t), dtype=bool)
-        if len(bad):
-            pos = np.searchsorted(bad, ids)
-            pos = np.minimum(pos, len(bad) - 1)
-            keep_mask = bad[pos] != ids
-        keep_mask &= dr == 0
-        return t.filter(pa.array(keep_mask)) \
-            .drop_columns(["__drop", "__part"])
-
-    # union needs identical schemas: pad victims with the doc columns
-    def widen_victims(t: pa.Table, *, template=None) -> pa.Table:
-        cols = {}
-        for field in template:
-            name, typ = field
-            if name == id_col:
-                cols[name] = t.column(id_col)
-            elif name == "__drop":
-                cols[name] = t.column("__drop")
-            elif name == "__part":
-                cols[name] = t.column("__part")
-            else:
-                cols[name] = pa.nulls(len(t), type=typ)
-        return pa.table(cols)
-
-    dsch = tagged_docs.schema()
-    template = list(zip(dsch.names, dsch.types))
-    both = tagged_docs.union(
-        tagged_victims.map_batches(widen_victims,
-                                   fn_kwargs={"template": template},
-                                   batch_format="pyarrow"))
-    return both.groupby("__part").map_groups(drop_group,
-                                             batch_format="pyarrow")
+    # bounded by the pair graph's nodes; a Dataset with no victims has
+    # no schema to co-partition with, and nothing to drop
+    victims = labels.map_batches(victims_batch,
+                                 batch_format="pyarrow").materialize()
+    if victims.count() == 0:
+        return docs_ds
+    return keyed_cogroup(docs_ds, victims, id_col, drop,
+                         num_partitions=num_buckets)

@@ -20,6 +20,22 @@ kernel)` hash-partitions `ds` on `key` (`key_partition`) and calls
 - one call may hold many keys (use `key_spans` on the sorted key
   column to find each key's rows);
 - the order of the output rows is unspecified.
+
+The two-input keyed exchange is `keyed_cogroup(left, right, key,
+kernel, right_key=None)`: both Datasets hash-partition on their join
+keys into one partition space and `kernel(left_tbl, right_tbl)` runs
+once per partition.  Its contract:
+- rows from both sides with equal keys reach the same, single kernel
+  call;
+- one call may hold many keys;
+- a partition with rows from only one side still gets its call, with
+  a 0-row table of the other side's schema (left, full and anti joins
+  need it);
+- each table carries its own side's column names and no tag columns;
+  the right key is cast to the left key's type before hashing and
+  arrives so cast, so int32/int64 and string/other-type key pairs
+  meet;
+- row order within each table and of the output is unspecified.
 """
 
 from __future__ import annotations
@@ -39,6 +55,7 @@ MAX_PARTITIONS = 65536
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 _PART = "__part"
+_SIDE = "__side"
 
 
 def _cluster_cpus(default: int = 4) -> int:
@@ -159,4 +176,60 @@ def keyed_apply(ds, key: str, kernel, num_partitions: int | None = None,
         return kernel(t.sort_by(order) if order else t)
 
     return ds.map_batches(tag, batch_format="pyarrow") \
+        .groupby(_PART).map_groups(run, batch_format="pyarrow")
+
+
+def _arrow_schema(ds) -> pa.Schema:
+    """`ds`'s Arrow schema.  A pandas-block column of object dtype has
+    no Arrow type until data is seen, so then one row is converted."""
+    s = ds.schema()
+    if all(isinstance(t, pa.DataType) for t in s.types):
+        return pa.schema(list(zip(s.names, s.types)))
+    return next(iter(ds.limit(1).iter_batches(batch_format="pyarrow"))).schema
+
+
+def keyed_cogroup(left, right, key: str, kernel,
+                  num_partitions: int | None = None,
+                  right_key: str | None = None):
+    """One hash exchange of `left` on `key` and `right` on `right_key`
+    (default `key`), then `kernel(left_tbl, right_tbl) -> table` once
+    per partition (see the module docstring for the contract).
+    `num_partitions=None` derives the count from both inputs
+    (`derive_num_partitions`)."""
+    right_key = right_key or key
+    n = num_partitions or derive_num_partitions(left, right, default=32)
+    lsch, rsch = _arrow_schema(left), _arrow_schema(right)
+    key_type = lsch.field(key).type
+    rsch = rsch.set(rsch.get_field_index(right_key),
+                    pa.field(right_key, key_type))
+    # positional names keep a column name present on both sides apart
+    nl = len(lsch)
+    wide = [f"__l{i}" for i in range(nl)] + \
+        [f"__r{i}" for i in range(len(rsch))]
+    types = [f.type for f in lsch] + [f.type for f in rsch]
+
+    def tag(side: int):
+        own, first, k = (lsch, 0, key) if side == 0 \
+            else (rsch, nl, right_key)
+
+        def fn(t: pa.Table) -> pa.Table:
+            cols = [pa.nulls(len(t), type=ty) for ty in types]
+            for i, name in enumerate(own.names):
+                cols[first + i] = t.column(name).cast(own.field(i).type)
+            kv = cols[first + own.get_field_index(k)]
+            cols += [pa.array(np.full(len(t), side, dtype=np.int8)),
+                     pa.array(key_partition(kv, n))]
+            return pa.Table.from_arrays(cols, names=wide + [_SIDE, _PART])
+
+        return fn
+
+    def run(t: pa.Table) -> pa.Table:
+        is_l = t.column(_SIDE).to_numpy(zero_copy_only=False) == 0
+        lt = t.filter(pa.array(is_l)).select(wide[:nl])
+        rt = t.filter(pa.array(~is_l)).select(wide[nl:])
+        return kernel(lt.rename_columns(lsch.names),
+                      rt.rename_columns(rsch.names))
+
+    return left.map_batches(tag(0), batch_format="pyarrow") \
+        .union(right.map_batches(tag(1), batch_format="pyarrow")) \
         .groupby(_PART).map_groups(run, batch_format="pyarrow")

@@ -8,30 +8,17 @@ a worker's heap (dimension tables, lookup maps): at 100 TB the fact
 stream flows through unmoved while nation/region/config tables ride
 along as a few KB of plasma.
 
-shuffle_join: the large-large case — both sides hash-partition on the
-key (Ray's Dataset.join → per-partition Acero hash join).  This is an
-all-to-all exchange of both inputs, so use it only when neither side
-fits a worker (fact ⋈ fact); the partition count is sized to the
-cluster because every partition pins an aggregator actor.
+copartition_join, copartition_agg_join and shuffle_semi_anti: the
+large-large case — both sides hash-partition on the key
+(`partitioning.keyed_cogroup`) and each partition resolves its keys
+with a sorted searchsorted.  This is an all-to-all exchange of both
+inputs, so use it only when neither side fits a worker (fact ⋈ fact).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-
-
-def _join_partitions(cap: int = 16) -> int:
-    """Each hash-join partition pins an aggregator actor: more
-    partitions than cores deadlocks small clusters, too few
-    under-parallelizes large ones."""
-    import ray
-
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        cpus = 4
-    return max(2, min(cap, cpus // 2))
 
 
 def interval_join(big_ds, intervals: pa.Table, on: str,
@@ -125,21 +112,6 @@ def interval_join(big_ds, intervals: pa.Table, on: str,
     return big_ds.map_batches(join_batch, batch_format="pyarrow")
 
 
-def shuffle_join(left_ds, right_ds, on: str, right_on: str | None = None,
-                 how: str = "inner", num_partitions: int | None = None):
-    """Key-partitioned equi-join of two large Datasets.
-
-    Both sides shuffle; rows co-locate by key hash and each partition
-    joins locally.  At 100 TB this is the expensive path — prefer
-    `broadcast_join` whenever one side is bounded.
-    """
-    nparts = num_partitions or _join_partitions()
-    return left_ds.join(right_ds, join_type=how,
-                        num_partitions=nparts,
-                        on=(on,),
-                        right_on=(right_on or on,))
-
-
 def broadcast_join(big_ds, small_tbl: pa.Table, key: str,
                    right_key: str | None = None, how: str = "inner"):
     """Join a Dataset against a driver-resident small table on integer
@@ -200,184 +172,101 @@ def shuffle_semi_anti(big_ds, keys_ds, key: str,
     """Key-partitioned exact semi/anti join against a DISTINCT-key
     Dataset that is too large to broadcast.
 
-    Both streams hash-partition on the key into one __part space (the
-    same side-tag + per-partition membership-mask shape as `_set_op`),
-    so no task ever holds more than its hash slice of the key universe
-    — the scale-safe fallback behind `semi_anti_join`'s broadcast gate.
-    A Bloom filter cannot substitute for the anti case: false positives
-    would DROP rows that have no true match."""
-    import numpy as np
-
-    from proj_ray.stages.agg import crc_bucket
-    from proj_ray.stages.partitioning import derive_num_partitions
+    Both streams hash-partition on the key, so no task ever holds more
+    than its hash slice of the key universe — the scale-safe fallback
+    behind `semi_anti_join`'s broadcast gate.  A Bloom filter cannot
+    substitute for the anti case: false positives would DROP rows that
+    have no true match."""
+    from proj_ray.stages.partitioning import keyed_cogroup
 
     right_key = right_key or key
     if how not in ("semi", "anti"):
         raise ValueError(f"shuffle_semi_anti: how={how!r}")
-    nparts = num_partitions or derive_num_partitions(
-        big_ds, keys_ds, default=32)
-    big_cols = list(big_ds.schema().names)
-    key_type = dict(zip(big_ds.schema().names,
-                        big_ds.schema().types))[key]
 
-    def tag_big(t: pa.Table) -> pa.Table:
-        cols = {c: t.column(c) for c in big_cols}
-        cols["__side"] = pa.array(np.zeros(len(t), dtype=np.int8))
-        cols["__part"] = pa.array(crc_bucket(t.column(key), nparts))
-        return pa.table(cols)
-
-    def tag_keys(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        kv = pc.cast(t.column(right_key), key_type)
-        cols = {c: (kv if c == key else
-                    pa.nulls(len(t), type=dict(
-                        zip(big_ds.schema().names,
-                            big_ds.schema().types))[c]))
-                for c in big_cols}
-        cols["__side"] = pa.array(np.ones(len(t), dtype=np.int8))
-        cols["__part"] = pa.array(crc_bucket(kv, nparts))
-        return pa.table(cols)
-
-    both = big_ds.map_batches(tag_big, batch_format="pyarrow").union(
-        keys_ds.map_batches(tag_keys, batch_format="pyarrow"))
-
-    def mask_group(t: pa.Table) -> pa.Table:
-        side = t.column("__side").to_numpy(zero_copy_only=False)
-        kv = t.column(key).to_numpy(zero_copy_only=False)
-        member = np.unique(kv[side == 1])
-        is_big = side == 0
+    def mask(big: pa.Table, keys: pa.Table) -> pa.Table:
+        member = np.unique(
+            keys.column(right_key).to_numpy(zero_copy_only=False))
+        kv = big.column(key).to_numpy(zero_copy_only=False)
         if len(member) == 0:
-            hit = np.zeros(len(t), dtype=bool)
+            hit = np.zeros(len(big), dtype=bool)
         else:
             pos = np.minimum(np.searchsorted(member, kv),
                              len(member) - 1)
             hit = member[pos] == kv
-        keep = is_big & (hit if how == "semi" else ~hit)
-        return t.filter(pa.array(keep)) \
-            .drop_columns(["__side", "__part"])
+        return big.filter(pa.array(hit if how == "semi" else ~hit))
 
-    return both.groupby("__part").map_groups(mask_group,
-                                             batch_format="pyarrow")
+    return keyed_cogroup(big_ds, keys_ds, key, mask,
+                         num_partitions=num_partitions,
+                         right_key=right_key)
 
 
 def copartition_join(left_ds, right_ds, on: str,
                      right_on: str | None = None, how: str = "inner",
                      num_partitions: int | None = None):
     """Hash-co-partitioned equi-join resolved with searchsorted inside
-    one map_groups per partition — the task-pool alternative to
-    `shuffle_join`'s Acero path (which pins one aggregator ACTOR per
-    partition: measured ~3 s of pool spin-up at sandbox scale, and a
-    scheduling coupling at any scale).  Semantics: `how` in
-    {"inner", "left", "full"}; duplicate right keys fan out (full join
-    multiplicity); "full" additionally emits right rows with no left
-    match (left columns null, the key carried through); output carries
-    the left columns + right payload (right key column dropped).
-    Right payload names must not collide
-    with left columns."""
-    import numpy as np
+    one kernel call per partition, on the task pool (Ray's
+    `Dataset.join` pins one aggregator actor per partition: measured
+    ~3 s of pool spin-up at sandbox scale).  Semantics: `how`
+    in {"inner", "left", "full"}; duplicate right keys fan out (full
+    join multiplicity); "full" additionally emits right rows with no
+    left match (left columns null, the key carried through); output
+    carries the left columns + right payload (right key column
+    dropped).  Right payload names must not collide with left
+    columns."""
+    import pyarrow.compute as pc
 
-    from proj_ray.stages.agg import crc_bucket
-    from proj_ray.stages.partitioning import derive_num_partitions
+    from proj_ray.stages.partitioning import keyed_cogroup
 
     right_on = right_on or on
     if how not in ("inner", "left", "full"):
         raise ValueError(f"copartition_join: how={how!r}")
-    nparts = num_partitions or derive_num_partitions(
-        left_ds, right_ds, default=32)
-    lsch, rsch = left_ds.schema(), right_ds.schema()
-    left_cols = list(lsch.names)
-    right_payload = [c for c in rsch.names if c != right_on]
+    left_cols = list(left_ds.schema().names)
+    right_payload = [c for c in right_ds.schema().names if c != right_on]
     clash = set(left_cols) & set(right_payload)
     if clash:
         raise ValueError(f"copartition_join: colliding columns "
                          f"{sorted(clash)}; rename first")
-    all_cols = left_cols + right_payload
-    union_types = dict(zip(lsch.names, lsch.types))
-    union_types.update((c, t) for c, t in zip(rsch.names, rsch.types)
-                       if c != right_on)
 
-    def widen(side: int, key_col: str):
-        def fn(t: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            n = len(t)
-            cols = {}
-            for c in all_cols:
-                if side == 0 and c in t.column_names:
-                    cols[c] = t.column(c)
-                elif side == 1 and c in right_payload \
-                        and c in t.column_names:
-                    cols[c] = t.column(c)
-                elif side == 1 and c == on:
-                    cols[c] = pc.cast(t.column(right_on),
-                                      union_types[on])
-                else:
-                    cols[c] = pa.nulls(n, type=union_types[c])
-            cols["__side"] = pa.array(np.full(n, side, dtype=np.int8))
-            cols["__part"] = pa.array(
-                crc_bucket(t.column(key_col), nparts))
-            return pa.table(cols)
-
-        return fn
-
-    both = left_ds.map_batches(widen(0, on),
-                               batch_format="pyarrow").union(
-        right_ds.map_batches(widen(1, right_on), batch_format="pyarrow"))
-
-    def join_group(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        side = t.column("__side").to_numpy(zero_copy_only=False)
-        keys = t.column(on).to_numpy(zero_copy_only=False)
-        is_l = side == 0
-        lpos = np.flatnonzero(is_l)
-        rpos = np.flatnonzero(~is_l)
-        rk = keys[rpos]
+    def join(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        rk = rt.column(right_on).to_numpy(zero_copy_only=False)
         rorder = np.argsort(rk, kind="stable")
         rk = rk[rorder]
-        lk = keys[lpos]
+        lk = lt.column(on).to_numpy(zero_copy_only=False)
         lo = np.searchsorted(rk, lk, side="left")
-        hi = np.searchsorted(rk, lk, side="right")
-        cnt = hi - lo
-        if how in ("left", "full"):
-            out_cnt = np.maximum(cnt, 1)
-        else:
-            out_cnt = cnt
+        cnt = np.searchsorted(rk, lk, side="right") - lo
+        out_cnt = np.maximum(cnt, 1) if how in ("left", "full") else cnt
         tot = int(out_cnt.sum())
-        lidx = np.repeat(lpos, out_cnt)
         run0 = np.repeat(np.cumsum(out_cnt) - out_cnt, out_cnt)
         rank = np.arange(tot, dtype=np.int64) - run0
         matched = rank < np.repeat(cnt, out_cnt)
         rtake = np.repeat(lo, out_cnt) + np.where(matched, rank, 0)
-        ridx = rpos[rorder[np.minimum(rtake, max(len(rk) - 1, 0))]] \
+        ridx = rorder[np.minimum(rtake, max(len(rk) - 1, 0))] \
             if len(rk) else np.zeros(tot, dtype=np.int64)
-        cols = {}
-        ltake = pa.array(lidx)
-        for c in left_cols:
-            cols[c] = pc.take(t.column(c), ltake)
+        ltake = pa.array(np.repeat(np.arange(len(lt)), out_cnt))
+        cols = {c: pc.take(lt.column(c), ltake) for c in left_cols}
         rtake_arr = pa.array(np.where(matched, ridx, 0).astype(np.int64),
                              type=pa.int64(), mask=~matched)
         for c in right_payload:
-            cols[c] = pc.take(t.column(c), rtake_arr)
+            cols[c] = pc.take(rt.column(c), rtake_arr)
         out = pa.table(cols)
         if how == "full":
-            # append right rows no left key matched: their widened
-            # rows already carry the key in `on` and nulls in the
-            # other left columns, so a plain take suffices
+            # right rows no left key matched: the key goes into `on`,
+            # every other left column is null
             used = np.zeros(len(rk), dtype=bool)
-            if len(rk) and tot:
-                used[rtake[matched]] = True
-            un = rpos[rorder[~used]]
+            used[rtake[matched]] = True
+            un = pa.array(rorder[~used])
             if len(un):
-                extra = pa.table(
-                    {c: pc.take(t.column(c), pa.array(un))
-                     for c in left_cols + right_payload})
-                out = pa.concat_tables([out, extra])
+                extra = {c: (pc.take(rt.column(right_on), un) if c == on
+                             else pa.nulls(len(un),
+                                           lt.schema.field(c).type))
+                         for c in left_cols}
+                extra.update((c, pc.take(rt.column(c), un))
+                             for c in right_payload)
+                out = pa.concat_tables([out, pa.table(extra)])
         return out
 
-    return both.groupby("__part").map_groups(join_group,
-                                             batch_format="pyarrow")
+    return keyed_cogroup(left_ds, right_ds, on, join,
+                         num_partitions=num_partitions, right_key=right_on)
 
 
 # Above this many distinct build-side keys the membership table stops
@@ -496,92 +385,37 @@ def copartition_agg_join(left_ds, right_ds, on: str,
     with null aggregates, "full" additionally emits aggregate keys
     with no left row (left payload columns null, key carried).
     """
-    import numpy as np
+    import pyarrow.compute as pc
 
-    from proj_ray.stages.agg import crc_bucket
-    from proj_ray.stages.partitioning import derive_num_partitions
+    from proj_ray.stages.partitioning import key_spans, keyed_cogroup
 
     right_on = right_on or on
     if how not in ("inner", "left", "full"):
         raise ValueError(f"copartition_agg_join: how={how!r}")
     if not agg_cols:
         raise ValueError("copartition_agg_join: agg_cols required")
-    nparts = num_partitions or derive_num_partitions(
-        left_ds, right_ds, default=32)
-    lsch, rsch = left_ds.schema(), right_ds.schema()
-    left_cols = list(lsch.names)
+    left_cols = list(left_ds.schema().names)
     clash = set(left_cols) & set(agg_cols)
     if clash:
         raise ValueError(f"copartition_agg_join: colliding columns "
                          f"{sorted(clash)}")
-    union_types = dict(zip(lsch.names, lsch.types))
-    rtypes = dict(zip(rsch.names, rsch.types))
-    agg_types = {c: rtypes[c] for c in agg_cols}
 
-    def tag_left(t: pa.Table) -> pa.Table:
-        n = len(t)
-        cols = {c: t.column(c) for c in left_cols}
-        for c in agg_cols:
-            cols[c] = pa.nulls(n, type=agg_types[c])
-        cols["__side"] = pa.array(np.zeros(n, dtype=np.int8))
-        cols["__part"] = pa.array(crc_bucket(t.column(on), nparts))
-        return pa.table(cols)
-
-    def tag_right(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        n = len(t)
-        kv = pc.cast(t.column(right_on), union_types[on])
-        cols = {}
-        for c in left_cols:
-            cols[c] = kv if c == on else pa.nulls(n,
-                                                  type=union_types[c])
-        for c in agg_cols:
-            cols[c] = t.column(c)
-        cols["__side"] = pa.array(np.ones(n, dtype=np.int8))
-        cols["__part"] = pa.array(crc_bucket(kv, nparts))
-        return pa.table(cols)
-
-    both = left_ds.map_batches(tag_left, batch_format="pyarrow").union(
-        right_ds.map_batches(tag_right, batch_format="pyarrow"))
-
-    def resolve(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        t = t.drop_columns(["__part"])
-        side = t.column("__side").to_numpy(zero_copy_only=False)
-        k = t.column(on).to_numpy(zero_copy_only=False)
-        is_l = side == 0
-        lpos = np.flatnonzero(is_l)
-        rpos = np.flatnonzero(~is_l)
-        rk = k[rpos]
+    def resolve(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        rk = rt.column(right_on).to_numpy(zero_copy_only=False)
         order = np.argsort(rk, kind="stable")
-        rks = rk[order]
         # segment sums per distinct right key (prefix-sum difference)
-        if len(rks):
-            new = np.empty(len(rks), dtype=bool)
-            new[0] = True
-            new[1:] = rks[1:] != rks[:-1]
-            starts = np.flatnonzero(new)
-            ends = np.append(starts[1:], len(rks))
-            ukeys = rks[starts]
-        else:
-            ukeys = rks
-            starts = ends = np.zeros(0, dtype=np.int64)
+        starts, counts = key_spans(rk[order])
+        ends = starts + counts
+        ukeys = rk[order[starts]]
         sums = {}
-        rtake = pa.array(rpos)
         for c in agg_cols:
-            # slice the right rows in Arrow BEFORE to_numpy: the
-            # unioned column carries nulls on the left side, and a
-            # whole-column to_numpy would promote int64 -> float64
-            col = pc.take(t.column(c), rtake)
+            col = rt.column(c)
             if pa.types.is_integer(col.type):
                 # keep integer sums exact in int64 (a float64 cumsum
                 # silently loses precision past 2^53); null partials
                 # are skipped per SQL SUM
-                if col.null_count:
-                    col = pc.fill_null(col, 0)
-                v = col.to_numpy(zero_copy_only=False)[order]
+                v = pc.fill_null(col, 0).to_numpy(
+                    zero_copy_only=False)[order]
                 csum = np.concatenate(
                     [[0], np.cumsum(v, dtype=np.int64)])
             else:
@@ -591,56 +425,35 @@ def copartition_agg_join(left_ds, right_ds, on: str,
                 v = np.nan_to_num(v.astype(np.float64), nan=0.0)
                 csum = np.concatenate([[0.0], np.cumsum(v)])
             sums[c] = csum[ends] - csum[starts]
-        lk = k[lpos]
+        lk = lt.column(on).to_numpy(zero_copy_only=False)
         pos = np.searchsorted(ukeys, lk)
         posc = np.minimum(pos, max(len(ukeys) - 1, 0))
         hit = (ukeys[posc] == lk) if len(ukeys) \
             else np.zeros(len(lk), dtype=bool)
-        if how == "inner":
-            lkeep = lpos[hit]
-            hidx = posc[hit]
-        else:
-            lkeep = lpos
-            hidx = posc
-        cols = {}
-        ltake = pa.array(lkeep)
-        for c in left_cols:
-            cols[c] = pc.take(t.column(c), ltake)
+        keep = hit if how == "inner" else np.ones(len(lk), dtype=bool)
+        cols = {c: lt.column(c).filter(pa.array(keep)) for c in left_cols}
         for c in agg_cols:
-            arr_np = sums[c][hidx] if len(ukeys) \
-                else np.zeros(len(lkeep), dtype=sums[c].dtype)
-            if how == "inner":
-                cols[c] = pa.array(arr_np)
-            else:
-                mask = ~hit
-                cols[c] = pa.array(
-                    np.where(hit, arr_np, arr_np.dtype.type(0)),
-                    mask=mask)
-        out = pa.table({c: (cols[c].cast(agg_types[c])
-                            if c in agg_cols and
-                            pa.types.is_integer(agg_types[c])
-                            else cols[c])
-                        for c in left_cols + list(agg_cols)})
+            arr_np = sums[c][posc[keep]] if len(ukeys) \
+                else np.zeros(int(keep.sum()), dtype=sums[c].dtype)
+            arr = pa.array(arr_np, mask=~hit[keep])
+            ty = rt.schema.field(c).type
+            cols[c] = arr.cast(ty) if pa.types.is_integer(ty) else arr
+        out = pa.table(cols)
         if how == "full" and len(ukeys):
             unmatched = np.ones(len(ukeys), dtype=bool)
             unmatched[posc[hit]] = False
             un = np.flatnonzero(unmatched)
             if len(un):
-                extra_cols = {}
-                for c in left_cols:
-                    if c == on:
-                        extra_cols[c] = pa.array(ukeys[un]).cast(
-                            union_types[on])
-                    else:
-                        extra_cols[c] = pa.nulls(len(un),
-                                                 type=union_types[c])
+                extra = {c: (pa.array(ukeys[un]).cast(
+                                 lt.schema.field(on).type) if c == on
+                             else pa.nulls(len(un),
+                                           lt.schema.field(c).type))
+                         for c in left_cols}
                 for c in agg_cols:
-                    arr = pa.array(sums[c][un])
-                    if pa.types.is_integer(agg_types[c]):
-                        arr = arr.cast(agg_types[c])
-                    extra_cols[c] = arr
-                out = pa.concat_tables([out, pa.table(extra_cols)])
+                    extra[c] = pa.array(sums[c][un]).cast(
+                        out.schema.field(c).type)
+                out = pa.concat_tables([out, pa.table(extra)])
         return out
 
-    return both.groupby("__part").map_groups(resolve,
-                                             batch_format="pyarrow")
+    return keyed_cogroup(left_ds, right_ds, on, resolve,
+                         num_partitions=num_partitions, right_key=right_on)

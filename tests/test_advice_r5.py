@@ -1,9 +1,7 @@
 """Round-5 fixes (ADVICE r4): deterministic geometry partitioning,
-WKT1 GEOGCS angle units, empty-vocab NLL, exact int sums in the
-fused aggregate-join."""
+WKT1 GEOGCS angle units, empty-vocab NLL."""
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 
@@ -120,49 +118,3 @@ def test_unigram_nll_empty_vocab_no_raise():
     want = np.log(100.0)
     assert abs(mean[0] - want) < 1e-12
     assert abs(mean[2] - want) < 1e-12
-
-
-# ---------------- exact int64 sums in copartition_agg_join ---------------
-
-
-def test_copartition_agg_join_int_sums_exact_past_2_53(ray_session):
-    """int64 partial sums beyond 2^53 must stay exact (the float64
-    cumsum path silently rounded them)."""
-    import ray.data as rd
-
-    from proj_ray.stages.relational import copartition_agg_join
-
-    big = 2**60
-    left = pa.table({"k": pa.array([1, 2], type=pa.int64()),
-                     "name": ["a", "b"]})
-    right = pa.table({
-        "rk": pa.array([1, 1, 2], type=pa.int64()),
-        "n": pa.array([big, 1, 7], type=pa.int64())})
-    out = copartition_agg_join(
-        rd.from_arrow(left), rd.from_arrow(right), on="k",
-        right_on="rk", agg_cols=("n",), how="inner").to_pandas()
-    got = dict(zip(out["k"], out["n"]))
-    assert got[1] == big + 1          # float64 would round to big
-    assert got[2] == 7
-    assert out["n"].dtype == np.int64
-
-
-def test_copartition_agg_join_left_null_semantics(ray_session):
-    """The left-join null path still yields null (not 0) for keys
-    with no right rows after the int-path change."""
-    import ray.data as rd
-
-    from proj_ray.stages.relational import copartition_agg_join
-
-    left = pa.table({"k": pa.array([1, 9], type=pa.int64()),
-                     "name": ["a", "z"]})
-    right = pa.table({"rk": pa.array([1], type=pa.int64()),
-                      "n": pa.array([5], type=pa.int64()),
-                      "s": pa.array([2.5], type=pa.float64())})
-    out = copartition_agg_join(
-        rd.from_arrow(left), rd.from_arrow(right), on="k",
-        right_on="rk", agg_cols=("n", "s"), how="left").to_pandas()
-    r9 = out[out["k"] == 9].iloc[0]
-    assert pd.isna(r9["n"]) and pd.isna(r9["s"])
-    r1 = out[out["k"] == 1].iloc[0]
-    assert r1["n"] == 5 and r1["s"] == 2.5

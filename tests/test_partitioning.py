@@ -1,11 +1,14 @@
-"""The one-sided keyed exchange: key_partition ids and keyed_apply's
-contract (one kernel call per key, no partition column, sorted input)."""
+"""The keyed exchanges: key_partition ids, keyed_apply's contract (one
+kernel call per key, no partition column, sorted input) and
+keyed_cogroup's (both sides of a key in one call, each with its own
+columns, a 0-row table for a missing side)."""
 
 import numpy as np
 import pyarrow as pa
 import pytest
 
-from proj_ray.stages.partitioning import key_partition, key_spans, keyed_apply
+from proj_ray.stages.partitioning import (key_partition, key_spans,
+                                          keyed_apply, keyed_cogroup)
 
 _N = 13
 
@@ -111,3 +114,95 @@ def test_keyed_apply_empty_input(ray_session):
                                  "s": pa.array([], type=pa.int64())}))
     assert keyed_apply(ds, "k", _call_kernel(), num_partitions=4,
                        sort_by=("s",)).count() == 0
+
+
+def _cogroup_kernel():
+    """Kernel for keyed_cogroup (built in a function, as above).  One
+    row per key of the call, keyed on each table's first column: its
+    left and right row counts, an id of the call, and each table's
+    schema as "name:type|..."."""
+    def calls(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        import uuid
+
+        lk = lt.column(0).to_numpy()
+        rk = rt.column(0).to_numpy()
+        keys = np.unique(np.concatenate([lk, rk]))
+        n = len(keys)
+
+        def sig(t):
+            return "|".join(f"{f.name}:{f.type}" for f in t.schema)
+
+        return pa.table({
+            "k": pa.array(keys, type=pa.int64()),
+            "n_left": pa.array([int((lk == k).sum()) for k in keys]),
+            "n_right": pa.array([int((rk == k).sum()) for k in keys]),
+            "call": pa.array([uuid.uuid4().hex] * n),
+            "lsig": pa.array([sig(lt)] * n),
+            "rsig": pa.array([sig(rt)] * n),
+        })
+
+    return calls
+
+
+def _counts(a: np.ndarray) -> dict:
+    return dict(zip(*np.unique(a, return_counts=True)))
+
+
+def test_keyed_cogroup_one_call_per_key(ray_session):
+    """More partitions than keys: each key's rows from both sides reach
+    exactly one kernel call; each table holds only its own columns, so
+    `v` (a double on the left, a string on the right) does not collide;
+    a partition with left rows only still gets its call, with a 0-row
+    right table of the right schema."""
+    import ray.data as rd
+
+    rng = np.random.default_rng(11)
+    lk = rng.integers(0, 12, 2_000) * 64
+    rk = rng.integers(0, 8, 300) * 64       # keys 8..11: left only
+    left = rd.from_arrow(pa.table({"k": lk, "v": rng.normal(size=len(lk))}))
+    right = rd.from_arrow(pa.table({
+        "k": rk, "v": [f"r{x}" for x in rk],
+        "w": rng.integers(0, 9, len(rk))})).repartition(3)
+    out = keyed_cogroup(left.repartition(5), right, "k", _cogroup_kernel(),
+                        num_partitions=40).to_pandas()
+    assert sorted(out["k"]) == sorted(set(lk.tolist()))  # one row per key
+    nl, nr = _counts(lk), _counts(rk)
+    assert all(r.n_left == nl[r.k] and r.n_right == nr.get(r.k, 0)
+               for r in out.itertuples())
+    assert set(out["lsig"]) == {"k:int64|v:double"}
+    assert set(out["rsig"]) == {"k:int64|v:string|w:int64"}
+    left_only = out.groupby("call")["n_right"].sum()
+    assert (left_only == 0).any()
+
+
+def test_keyed_cogroup_right_key_of_other_width(ray_session):
+    """An int32 right key under its own name meets its int64 left
+    match, and arrives cast to int64."""
+    import ray.data as rd
+
+    rng = np.random.default_rng(12)
+    lk = rng.integers(0, 30, 500)
+    rk = rng.integers(0, 30, 200)
+    left = rd.from_arrow(pa.table({"k": pa.array(lk, type=pa.int64())}))
+    right = rd.from_arrow(pa.table({"rk": pa.array(rk, type=pa.int32())}))
+    out = keyed_cogroup(left, right, "k", _cogroup_kernel(),
+                        num_partitions=7, right_key="rk").to_pandas()
+    assert sorted(out["k"]) == sorted(set(lk.tolist()) | set(rk.tolist()))
+    nl, nr = _counts(lk), _counts(rk)
+    assert all(r.n_left == nl.get(r.k, 0) and r.n_right == nr.get(r.k, 0)
+               for r in out.itertuples())
+    assert set(out["rsig"]) == {"rk:int64"}
+
+
+def test_keyed_cogroup_empty_right(ray_session):
+    import ray.data as rd
+
+    lk = np.arange(10, dtype=np.int64)
+    left = rd.from_arrow(pa.table({"k": lk}))
+    right = rd.from_arrow(pa.table({"k": pa.array([], type=pa.int64()),
+                                    "s": pa.array([], type=pa.string())}))
+    out = keyed_cogroup(left, right, "k", _cogroup_kernel(),
+                        num_partitions=3).to_pandas()
+    assert sorted(out["k"]) == lk.tolist()
+    assert (out["n_left"] == 1).all() and (out["n_right"] == 0).all()
+    assert set(out["rsig"]) == {"k:int64|s:string"}

@@ -1,4 +1,7 @@
-"""broadcast_join vs pandas merge ground truth."""
+"""Relational joins (broadcast, co-partitioned, interval), set ops and
+melt against pandas merges and brute force."""
+
+import itertools
 
 import numpy as np
 import pandas as pd
@@ -51,24 +54,6 @@ def test_left_keeps_unmatched_with_nulls():
     want = big.merge(small.to_pandas(), left_on="k", right_on="sk")
     lut = dict(zip(want["k"], want["label"]))
     assert (matched["label"] == matched["k"].map(lut)).all()
-
-
-def test_shuffle_join_matches_pandas():
-    import ray.data as rd
-
-    from proj_ray.stages.relational import shuffle_join
-
-    big, small = _frames(seed=3, n=600, n_keys=40)
-    right = small.to_pandas().rename(columns={"sk": "rk"})
-    out = shuffle_join(rd.from_pandas(big), rd.from_pandas(right),
-                       on="k", right_on="rk", num_partitions=5)
-    got = out.to_pandas().sort_values("row_id").reset_index(drop=True)
-    want = big.merge(right, left_on="k", right_on="rk") \
-        .sort_values("row_id").reset_index(drop=True)
-    assert len(got) == len(want)
-    pd.testing.assert_frame_equal(
-        got[["row_id", "k", "v", "label"]],
-        want[["row_id", "k", "v", "label"]])
 
 
 def _interval_reference(big, iv):
@@ -260,3 +245,216 @@ def test_melt_inverts_wide_table():
     got = out.sort_values(["id", "variable"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(got[["id", "variable", "value"]],
                                   want[["id", "variable", "value"]])
+
+
+def test_copartition_join_matches_pandas(ray_session):
+    import ray.data as rd
+
+    from proj_ray.stages.relational import copartition_join
+
+    rng = np.random.default_rng(19)
+    left = pd.DataFrame({
+        "k": rng.integers(0, 80, 4_000).astype(np.int64),
+        "lv": rng.normal(size=4_000)})
+    # duplicate right keys -> fan-out multiplicity must match SQL
+    right = pd.DataFrame({
+        "rk": rng.integers(0, 100, 250).astype(np.int64),
+        "rv": rng.normal(size=250)})
+    as_str = "key-{}".format
+    big, small = _frames(seed=3, n=600, n_keys=40)
+    inputs = [
+        (left, right, ("inner", "left")),
+        # an int32 right key against the int64 left key
+        (left, right.astype({"rk": np.int32}), ("inner", "left")),
+        # string keys on both sides
+        (left.assign(k=left["k"].map(as_str)),
+         right.assign(rk=right["rk"].map(as_str)), ("inner", "left")),
+        # a string payload
+        (big, small.to_pandas().rename(columns={"sk": "rk"}), ("inner",)),
+    ]
+    for lf, rf, hows in inputs:
+        for how in hows:
+            got = copartition_join(
+                rd.from_pandas(lf).repartition(6),
+                rd.from_pandas(rf).repartition(3),
+                on="k", right_on="rk", how=how,
+                num_partitions=5).to_pandas()
+            want = lf.merge(rf.rename(columns={"rk": "k"}),
+                            on="k", how=how)
+            by = list(want.columns)
+            gs = got.sort_values(by, na_position="last") \
+                .reset_index(drop=True)
+            ws = want.sort_values(by, na_position="last") \
+                .reset_index(drop=True)
+            pd.testing.assert_frame_equal(gs, ws[gs.columns],
+                                          check_dtype=False)
+
+
+def test_copartition_join_empty_right(ray_session):
+    import ray.data as rd
+
+    from proj_ray.stages.relational import copartition_join
+
+    left = pd.DataFrame({"k": np.arange(10, dtype=np.int64),
+                         "lv": np.ones(10)})
+    right = pd.DataFrame({"rk": np.array([], dtype=np.int64),
+                          "rv": np.array([], dtype=np.float64)})
+    inner = copartition_join(rd.from_pandas(left), rd.from_pandas(right),
+                             on="k", right_on="rk", how="inner",
+                             num_partitions=3).to_pandas()
+    assert len(inner) == 0
+    lft = copartition_join(rd.from_pandas(left), rd.from_pandas(right),
+                           on="k", right_on="rk", how="left",
+                           num_partitions=3).to_pandas()
+    assert len(lft) == 10 and lft["rv"].isna().all()
+
+
+def test_copartition_join_full_outer_both_sides(ray_session):
+    import ray.data as rd
+
+    from proj_ray.stages.relational import copartition_join
+
+    left = pd.DataFrame({"k": [1, 2, 2, 5], "lv": [10, 20, 21, 50]})
+    right = pd.DataFrame({"rk": [2, 3, 3, 7], "rv": ["a", "b", "c",
+                                                     "d"]})
+    out = copartition_join(rd.from_arrow(pa.Table.from_pandas(left)),
+                           rd.from_arrow(pa.Table.from_pandas(right)),
+                           on="k", right_on="rk",
+                           how="full").to_pandas()
+    want = left.merge(right, how="outer", left_on="k", right_on="rk")
+    want["k"] = want["k"].fillna(want["rk"])
+    want = want.drop(columns=["rk"])
+    o = out.sort_values(["k", "lv", "rv"], na_position="first") \
+        .reset_index(drop=True)
+    w = want.sort_values(["k", "lv", "rv"], na_position="first") \
+        .reset_index(drop=True)
+    assert len(o) == len(w) == 7
+    np.testing.assert_array_equal(o["k"].to_numpy(dtype=float),
+                                  w["k"].to_numpy(dtype=float))
+    np.testing.assert_array_equal(
+        o["lv"].fillna(-1).to_numpy(dtype=float),
+        w["lv"].fillna(-1).to_numpy(dtype=float))
+    assert list(o["rv"].fillna("")) == list(w["rv"].fillna(""))
+
+
+def test_copartition_agg_join_modes(ray_session):
+    import ray.data as rd
+
+    from proj_ray.stages.relational import copartition_agg_join
+
+    left = pa.table({"k": pa.array([1, 2, 5], type=pa.int64()),
+                     "name": ["a", "b", "e"]})
+    # right partials: key 2 split across rows (partial aggregation),
+    # key 7 has no left row
+    right = pa.table({"rk": pa.array([2, 2, 7], type=pa.int64()),
+                      "s": [10.0, 5.0, 3.0],
+                      "n": pa.array([2, 1, 4], type=pa.int64())})
+    # the same right side with an int32 key
+    right32 = right.set_column(0, "rk", right.column("rk").cast(pa.int32()))
+    for (how, want_rows), r in itertools.product(
+            (("inner", 1), ("left", 3), ("full", 4)), (right, right32)):
+        out = copartition_agg_join(
+            rd.from_arrow(left), rd.from_arrow(r), on="k",
+            right_on="rk", agg_cols=("s", "n"), how=how).to_pandas()
+        assert len(out) == want_rows, how
+        row2 = out[out["k"] == 2].iloc[0]
+        assert row2["s"] == 15.0 and row2["n"] == 3
+        if how != "inner":
+            row1 = out[out["k"] == 1].iloc[0]
+            assert pd.isna(row1["s"]) and pd.isna(row1["n"])
+        if how == "full":
+            row7 = out[out["k"] == 7].iloc[0]
+            assert row7["s"] == 3.0 and row7["n"] == 4
+            assert pd.isna(row7["name"])
+
+
+def test_copartition_agg_join_property_random(ray_session):
+    """Property check: fused agg-join == pandas groupby-sum + merge on
+    randomized inputs across all three modes (hypothesis-style sweep
+    with fixed seeds for determinism)."""
+    import ray.data as rd
+
+    rng = np.random.default_rng(21)
+    from proj_ray.stages.relational import copartition_agg_join
+
+    for trial in range(6):
+        nl = int(rng.integers(0, 40))
+        nr = int(rng.integers(0, 120))
+        left = pd.DataFrame({
+            "k": rng.integers(0, 12, nl).astype("int64"),
+            "payload": rng.normal(size=nl),
+        }).drop_duplicates("k")
+        right = pd.DataFrame({
+            "rk": rng.integers(0, 15, nr).astype("int64"),
+            "s": rng.normal(size=nr),
+            "n": rng.integers(1, 5, nr).astype("int64"),
+        })
+        want_agg = right.groupby("rk", as_index=False)[["s", "n"]].sum()
+        for how in ("inner", "left", "full"):
+            got = copartition_agg_join(
+                rd.from_arrow(pa.Table.from_pandas(left)),
+                rd.from_arrow(pa.Table.from_pandas(right)),
+                on="k", right_on="rk", agg_cols=("s", "n"),
+                how=how, num_partitions=3).to_pandas()
+            pd_how = {"inner": "inner", "left": "left",
+                      "full": "outer"}[how]
+            want = left.merge(want_agg, how=pd_how, left_on="k",
+                              right_on="rk")
+            want["k"] = want["k"].fillna(want["rk"])
+            want = want.drop(columns=["rk"])
+            assert len(got) == len(want), (trial, how)
+            g = got.sort_values("k").reset_index(drop=True)
+            w = want.sort_values("k").reset_index(drop=True)
+            np.testing.assert_allclose(
+                g["k"].to_numpy(dtype=float),
+                w["k"].to_numpy(dtype=float), err_msg=f"{trial}/{how}")
+            np.testing.assert_allclose(
+                g["s"].fillna(np.inf), w["s"].fillna(np.inf),
+                atol=1e-12, err_msg=f"{trial}/{how}")
+            np.testing.assert_allclose(
+                g["n"].fillna(-1).astype(float),
+                w["n"].fillna(-1).astype(float),
+                err_msg=f"{trial}/{how}")
+
+
+def test_copartition_agg_join_int_sums_exact_past_2_53(ray_session):
+    """int64 partial sums beyond 2^53 must stay exact (the float64
+    cumsum path silently rounded them)."""
+    import ray.data as rd
+
+    from proj_ray.stages.relational import copartition_agg_join
+
+    big = 2**60
+    left = pa.table({"k": pa.array([1, 2], type=pa.int64()),
+                     "name": ["a", "b"]})
+    right = pa.table({
+        "rk": pa.array([1, 1, 2], type=pa.int64()),
+        "n": pa.array([big, 1, 7], type=pa.int64())})
+    out = copartition_agg_join(
+        rd.from_arrow(left), rd.from_arrow(right), on="k",
+        right_on="rk", agg_cols=("n",), how="inner").to_pandas()
+    got = dict(zip(out["k"], out["n"]))
+    assert got[1] == big + 1          # float64 would round to big
+    assert got[2] == 7
+    assert out["n"].dtype == np.int64
+
+
+def test_copartition_agg_join_left_null_semantics(ray_session):
+    """The left-join null path still yields null (not 0) for keys
+    with no right rows after the int-path change."""
+    import ray.data as rd
+
+    from proj_ray.stages.relational import copartition_agg_join
+
+    left = pa.table({"k": pa.array([1, 9], type=pa.int64()),
+                     "name": ["a", "z"]})
+    right = pa.table({"rk": pa.array([1], type=pa.int64()),
+                      "n": pa.array([5], type=pa.int64()),
+                      "s": pa.array([2.5], type=pa.float64())})
+    out = copartition_agg_join(
+        rd.from_arrow(left), rd.from_arrow(right), on="k",
+        right_on="rk", agg_cols=("n", "s"), how="left").to_pandas()
+    r9 = out[out["k"] == 9].iloc[0]
+    assert pd.isna(r9["n"]) and pd.isna(r9["s"])
+    r1 = out[out["k"] == 1].iloc[0]
+    assert r1["n"] == 5 and r1["s"] == 2.5

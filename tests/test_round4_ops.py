@@ -1,9 +1,8 @@
-"""Round-4 coverage additions: grouped mode, co-partitioned join,
-tile pyramid / regex scan queries."""
+"""Round-4 coverage additions: grouped mode, tile pyramid / regex scan
+queries."""
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
 
 
 def test_grouped_mode_matches_pandas(ray_session):
@@ -27,54 +26,6 @@ def test_grouped_mode_matches_pandas(ray_session):
     assert (got["k"].to_numpy() == want["k"].to_numpy()).all()
     assert (got["v"].to_numpy() == want["v"].to_numpy()).all()
     assert (got["n"].to_numpy() == want["n"].to_numpy()).all()
-
-
-def test_copartition_join_matches_pandas(ray_session):
-    import ray.data as rd
-
-    from proj_ray.stages.relational import copartition_join
-
-    rng = np.random.default_rng(19)
-    left = pd.DataFrame({
-        "k": rng.integers(0, 80, 4_000).astype(np.int64),
-        "lv": rng.normal(size=4_000)})
-    # duplicate right keys -> fan-out multiplicity must match SQL
-    right = pd.DataFrame({
-        "rk": rng.integers(0, 100, 250).astype(np.int64),
-        "rv": rng.normal(size=250)})
-    for how in ("inner", "left"):
-        got = copartition_join(
-            rd.from_pandas(left).repartition(6),
-            rd.from_pandas(right).repartition(3),
-            on="k", right_on="rk", how=how,
-            num_partitions=5).to_pandas()
-        want = left.merge(right.rename(columns={"rk": "k"}),
-                          on="k", how=how)
-        gs = got.sort_values(["k", "lv", "rv"], na_position="last") \
-            .reset_index(drop=True)
-        ws = want.sort_values(["k", "lv", "rv"], na_position="last") \
-            .reset_index(drop=True)
-        pd.testing.assert_frame_equal(gs, ws[gs.columns],
-                                      check_dtype=False)
-
-
-def test_copartition_join_empty_right(ray_session):
-    import ray.data as rd
-
-    from proj_ray.stages.relational import copartition_join
-
-    left = pd.DataFrame({"k": np.arange(10, dtype=np.int64),
-                         "lv": np.ones(10)})
-    right = pd.DataFrame({"rk": np.array([], dtype=np.int64),
-                          "rv": np.array([], dtype=np.float64)})
-    inner = copartition_join(rd.from_pandas(left), rd.from_pandas(right),
-                             on="k", right_on="rk", how="inner",
-                             num_partitions=3).to_pandas()
-    assert len(inner) == 0
-    lft = copartition_join(rd.from_pandas(left), rd.from_pandas(right),
-                           on="k", right_on="rk", how="left",
-                           num_partitions=3).to_pandas()
-    assert len(lft) == 10 and lft["rv"].isna().all()
 
 
 def test_tile_pyramid_levels_consistent(ray_session, sf_dir):

@@ -1,38 +1,9 @@
-"""Round-4 second-wave operators: full-outer copartition_join,
-repetition quality signals."""
+"""Round-4 second-wave operators: repetition quality signals,
+contamination flags, embedding centroids."""
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pytest
-
-
-def test_copartition_join_full_outer_both_sides(ray_session):
-    import ray.data as rd
-
-    from proj_ray.stages.relational import copartition_join
-
-    left = pd.DataFrame({"k": [1, 2, 2, 5], "lv": [10, 20, 21, 50]})
-    right = pd.DataFrame({"rk": [2, 3, 3, 7], "rv": ["a", "b", "c",
-                                                     "d"]})
-    out = copartition_join(rd.from_arrow(pa.Table.from_pandas(left)),
-                           rd.from_arrow(pa.Table.from_pandas(right)),
-                           on="k", right_on="rk",
-                           how="full").to_pandas()
-    want = left.merge(right, how="outer", left_on="k", right_on="rk")
-    want["k"] = want["k"].fillna(want["rk"])
-    want = want.drop(columns=["rk"])
-    o = out.sort_values(["k", "lv", "rv"], na_position="first") \
-        .reset_index(drop=True)
-    w = want.sort_values(["k", "lv", "rv"], na_position="first") \
-        .reset_index(drop=True)
-    assert len(o) == len(w) == 7
-    np.testing.assert_array_equal(o["k"].to_numpy(dtype=float),
-                                  w["k"].to_numpy(dtype=float))
-    np.testing.assert_array_equal(
-        o["lv"].fillna(-1).to_numpy(dtype=float),
-        w["lv"].fillna(-1).to_numpy(dtype=float))
-    assert list(o["rv"].fillna("")) == list(w["rv"].fillna(""))
 
 
 def test_repetition_stats_edges():
@@ -73,34 +44,6 @@ def test_embedding_centroids_end_to_end(ray_session):
     np.testing.assert_allclose(g0["mean_v"].to_numpy(), want,
                                atol=1e-9)
     assert (g0["n_vecs"] == len(mat)).all()
-
-
-def test_copartition_agg_join_modes(ray_session):
-    import ray.data as rd
-
-    from proj_ray.stages.relational import copartition_agg_join
-
-    left = pa.table({"k": pa.array([1, 2, 5], type=pa.int64()),
-                     "name": ["a", "b", "e"]})
-    # right partials: key 2 split across rows (partial aggregation),
-    # key 7 has no left row
-    right = pa.table({"rk": pa.array([2, 2, 7], type=pa.int64()),
-                      "s": [10.0, 5.0, 3.0],
-                      "n": pa.array([2, 1, 4], type=pa.int64())})
-    for how, want_rows in (("inner", 1), ("left", 3), ("full", 4)):
-        out = copartition_agg_join(
-            rd.from_arrow(left), rd.from_arrow(right), on="k",
-            right_on="rk", agg_cols=("s", "n"), how=how).to_pandas()
-        assert len(out) == want_rows, how
-        row2 = out[out["k"] == 2].iloc[0]
-        assert row2["s"] == 15.0 and row2["n"] == 3
-        if how != "inner":
-            row1 = out[out["k"] == 1].iloc[0]
-            assert pd.isna(row1["s"]) and pd.isna(row1["n"])
-        if how == "full":
-            row7 = out[out["k"] == 7].iloc[0]
-            assert row7["s"] == 3.0 and row7["n"] == 4
-            assert pd.isna(row7["name"])
 
 
 def test_contamination_flags_hand_case(ray_session):
@@ -147,50 +90,3 @@ def test_contamination_no_cross_doc_grams(ray_session):
     assert out == {1: 0, 2: 0}
 
 
-def test_copartition_agg_join_property_random(ray_session):
-    """Property check: fused agg-join == pandas groupby-sum + merge on
-    randomized inputs across all three modes (hypothesis-style sweep
-    with fixed seeds for determinism)."""
-    import ray.data as rd
-
-    rng = np.random.default_rng(21)
-    from proj_ray.stages.relational import copartition_agg_join
-
-    for trial in range(6):
-        nl = int(rng.integers(0, 40))
-        nr = int(rng.integers(0, 120))
-        left = pd.DataFrame({
-            "k": rng.integers(0, 12, nl).astype("int64"),
-            "payload": rng.normal(size=nl),
-        }).drop_duplicates("k")
-        right = pd.DataFrame({
-            "rk": rng.integers(0, 15, nr).astype("int64"),
-            "s": rng.normal(size=nr),
-            "n": rng.integers(1, 5, nr).astype("int64"),
-        })
-        want_agg = right.groupby("rk", as_index=False)[["s", "n"]].sum()
-        for how in ("inner", "left", "full"):
-            got = copartition_agg_join(
-                rd.from_arrow(pa.Table.from_pandas(left)),
-                rd.from_arrow(pa.Table.from_pandas(right)),
-                on="k", right_on="rk", agg_cols=("s", "n"),
-                how=how, num_partitions=3).to_pandas()
-            pd_how = {"inner": "inner", "left": "left",
-                      "full": "outer"}[how]
-            want = left.merge(want_agg, how=pd_how, left_on="k",
-                              right_on="rk")
-            want["k"] = want["k"].fillna(want["rk"])
-            want = want.drop(columns=["rk"])
-            assert len(got) == len(want), (trial, how)
-            g = got.sort_values("k").reset_index(drop=True)
-            w = want.sort_values("k").reset_index(drop=True)
-            np.testing.assert_allclose(
-                g["k"].to_numpy(dtype=float),
-                w["k"].to_numpy(dtype=float), err_msg=f"{trial}/{how}")
-            np.testing.assert_allclose(
-                g["s"].fillna(np.inf), w["s"].fillna(np.inf),
-                atol=1e-12, err_msg=f"{trial}/{how}")
-            np.testing.assert_allclose(
-                g["n"].fillna(-1).astype(float),
-                w["n"].fillna(-1).astype(float),
-                err_msg=f"{trial}/{how}")

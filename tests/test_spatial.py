@@ -196,12 +196,22 @@ def test_shuffle_pip_join_matches_broadcast(ray_session, coords_ds, coords):
     out = shuffle_pip_join(coords_ds, polys).to_pandas()
     got = set(zip(out["doc_id"], out["offset"], out["polygon_id"]))
     assert got == want
+    assert len(out) == len(want)  # no match emitted twice
     # salted variant must produce identical rows
     salt = {int(c): 4 for c in
             np.unique(grid_cell(coords["lon"], coords["lat"], 5.0))[:5]}
     out2 = shuffle_pip_join(coords_ds, polys, salt=salt).to_pandas()
     got2 = set(zip(out2["doc_id"], out2["offset"], out2["polygon_id"]))
     assert got2 == want
+    assert len(out2) == len(want)
+    # every cell salted 40 ways, more sub-keys than the 32 partitions:
+    # sub-keys of one cell share partitions
+    salt = {int(c): 40 for c in
+            np.unique(grid_cell(coords["lon"], coords["lat"], 5.0))}
+    out3 = shuffle_pip_join(coords_ds, polys, salt=salt).to_pandas()
+    assert set(zip(out3["doc_id"], out3["offset"],
+                   out3["polygon_id"])) == want
+    assert len(out3) == len(want)
 
 
 # ---- PolygonIndex.query_batch against brute force over every polygon ----
