@@ -18,34 +18,37 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
+def _one_array(col) -> pa.Array:
+    """A column as one Array: a single-chunk ChunkedArray yields its
+    chunk (a zero-copy slice, where combine_chunks would copy it)."""
+    if isinstance(col, pa.ChunkedArray):
+        return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+    return col
+
+
+def _coord_spans(flat: pa.StructArray):
+    """(positions, lon, lat) of the coord spans of a flattened span
+    array.  Only the `kind` and `text` fields are read; lon/lat come
+    from one float64 cast of the split "%.17g %.17g" texts, so they are
+    strided views of that one array."""
+    idx = pc.indices_nonzero(pc.equal(flat.field("kind"), "coord"))
+    pieces = pc.split_pattern(flat.field("text").take(idx), " ").flatten()
+    lonlat = pieces.cast(pa.float64()).to_numpy().reshape(-1, 2)
+    return idx, lonlat[:, 0], lonlat[:, 1]
+
+
 def extract_coords_batch(batch: pa.Table) -> pa.Table:
     """Explode coord spans -> (doc_id, offset, lon, lat) rows."""
-    spans = batch.column("spans")
-    if isinstance(spans, pa.ChunkedArray):
-        spans = spans.combine_chunks()
-    doc_ids = batch.column("doc_id")
-    if isinstance(doc_ids, pa.ChunkedArray):
-        doc_ids = doc_ids.combine_chunks()
+    spans = _one_array(batch.column("spans"))
     flat = spans.flatten()
-    # doc index for every span row
-    parent = pc.list_parent_indices(spans)
-    kind = flat.field("kind")
-    is_coord = pc.equal(kind, "coord")
-    idx = pc.indices_nonzero(is_coord)
-    coord_rows = flat.take(idx)
-    coord_parent = parent.take(idx)
-    texts = coord_rows.field("text")
-    # "%.17g %.17g" -> two float64 columns (vectorized split + cast)
-    parts = pc.split_pattern(texts, " ")
-    pieces = parts.flatten()
-    lonlat = pieces.cast(pa.float64())
-    lon = lonlat.take(pa.array(np.arange(0, len(lonlat), 2)))
-    lat = lonlat.take(pa.array(np.arange(1, len(lonlat), 2)))
+    idx, lon, lat = _coord_spans(flat)
+    # doc index of every coord span
+    parent = pc.list_parent_indices(spans).take(idx)
     return pa.table({
-        "doc_id": doc_ids.take(coord_parent),
-        "offset": coord_rows.field("offset"),
-        "lon": lon,
-        "lat": lat,
+        "doc_id": _one_array(batch.column("doc_id")).take(parent),
+        "offset": flat.field("offset").take(idx),
+        "lon": pa.array(lon),
+        "lat": pa.array(lat),
     })
 
 
@@ -58,12 +61,8 @@ def span_fingerprint_batch(batch: pa.Table) -> pa.Table:
     scale."""
     from proj_ray.stages.hashing import rolling_hash_batch
 
-    spans = batch.column("spans")
-    if isinstance(spans, pa.ChunkedArray):
-        spans = spans.combine_chunks()
-    doc_ids = batch.column("doc_id")
-    if isinstance(doc_ids, pa.ChunkedArray):
-        doc_ids = doc_ids.combine_chunks()
+    spans = _one_array(batch.column("spans"))
+    doc_ids = _one_array(batch.column("doc_id"))
     flat = spans.flatten()
     joined = pc.binary_join_element_wise(
         flat.field("kind"), flat.field("text"), flat.field("media_ref"),

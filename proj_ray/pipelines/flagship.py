@@ -5,15 +5,17 @@ interleaved doc table -> span/coordinate extraction -> CRS transform
 variant optional) -> raster-tile assignment -> per-tile assembly with
 join-match counts.
 
-Everything is ONE streaming Dataset pipeline: synthesis, extraction,
-transform, tile encoding and the join probe are fused map_batches
-stages; the only all-to-all exchange is the final small groupby(tile)
-over pre-aggregated partials.
+Everything is ONE streaming Dataset pipeline.  Extraction, transform,
+tile encoding, the join probe and the per-tile combiner are one kernel,
+`doc_tile_partials`, mapped over bounded slices of `_DOC_SLICE` docs
+and fused by Ray Data with the doc synthesis into one task per block;
+the only all-to-all exchange is the final small groupby(tile) over
+those partials.
 
-`resumable_flagship` runs the same fused chain over checkpointed
-doc-id shards, one plain Ray task per pending shard: its input and
-output are a handful of shard ids, so nothing streams and Ray Data's
-fixed per-execution cost would buy nothing.
+`resumable_flagship` runs the same kernel over the same slices of
+checkpointed doc-id shards, one plain Ray task per pending shard: its
+input and output are a handful of shard ids, so nothing streams and
+Ray Data's fixed per-execution cost would buy nothing.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-from proj_ray.docs.spans import extract_coords_batch
+from proj_ray.docs.spans import _coord_spans, _one_array
 from proj_ray.docs.synth import (doc_dataset, doc_dataset_from_documents,
                                  make_doc_batch)
 from proj_ray.pipeline import create_operation, transform_arrays
@@ -52,45 +54,41 @@ def _get_state(index_ref, zoom: int):
     return st
 
 
-def transform_join_tile(batch: pa.Table, index_ref, zoom: int) -> pa.Table:
-    """Fused stage: webmerc + exact transverse-mercator transforms +
-    tile + PIP probe, emitting per-tile partial aggregates
-    (combiner before the shuffle)."""
+# docs per kernel call.  Ray Data's output buffer coalesces the doc
+# source's outputs into blocks of up to 128 MiB (125k docs on one CPU),
+# so the kernel slices them: ~23k coords a call keeps each float64
+# temporary near 180 KB instead of allocating them at block size
+_DOC_SLICE = 16384
+
+
+def doc_tile_partials(batch: pa.Table, index_ref, zoom: int) -> pa.Table:
+    """The fused flagship kernel, docs -> per-tile partials: parse the
+    coord spans' lon/lat, webmerc + exact transverse-mercator
+    transforms, tile, PIP probe, and per-tile partial aggregates (the
+    combiner before the shuffle).  The partials need no sort: bincount
+    adds each tile's values in input order."""
     index, proj, utm = _get_state(index_ref, zoom)
-    lon = batch.column("lon").to_numpy(zero_copy_only=False)
-    lat = batch.column("lat").to_numpy(zero_copy_only=False)
+    _, lon, lat = _coord_spans(_one_array(batch.column("spans")).flatten())
     c = transform_arrays(proj, lon, lat)
     cu = transform_arrays(utm, lon, lat)  # Poder/Engsager series kernel
     ux = np.where(np.isfinite(cu.x), cu.x, 0.0)
     tx, ty = tile_xy(lon, lat, zoom)
-    return _partials(index, zoom, lon, lat, c, tx, ty, ux)
+    uniq, inv = np.unique(ty * (1 << zoom) + tx, return_inverse=True)
+    m = len(uniq)
+    pts, _ = index.query_batch(lon, lat)
 
+    def tile_sum(w):
+        # typed: bincount of an empty input is int64 even with weights
+        return pa.array(np.bincount(inv, weights=w, minlength=m),
+                        pa.float64())
 
-def _partials(index, zoom, lon, lat, c, tx, ty, ux) -> pa.Table:
-    tile = ty * (1 << zoom) + tx
-    pts, polys = index.query_batch(lon, lat)
-    joined = np.zeros(len(lon), dtype=np.int64)
-    np.add.at(joined, pts, 1)
-    # partial per-tile aggregate (combiner before the shuffle)
-    order = np.argsort(tile, kind="stable")
-    t_sorted = tile[order]
-    uniq, starts = np.unique(t_sorted, return_index=True)
-    n = np.diff(np.append(starts, len(t_sorted)))
-    jsum = np.add.reduceat(joined[order], starts) if len(order) else \
-        np.array([], dtype=np.int64)
-    xsum = np.add.reduceat(c.x[order], starts) if len(order) else \
-        np.array([])
-    ysum = np.add.reduceat(c.y[order], starts) if len(order) else \
-        np.array([])
-    usum = np.add.reduceat(ux[order], starts) if len(order) else \
-        np.array([])
     return pa.table({
         "tile": pa.array(uniq),
-        "n_points": pa.array(n.astype(np.int64)),
-        "n_joined": pa.array(jsum.astype(np.int64)),
-        "x_sum": pa.array(xsum),
-        "y_sum": pa.array(ysum),
-        "utmx_sum": pa.array(usum),
+        "n_points": pa.array(np.bincount(inv, minlength=m)),
+        "n_joined": pa.array(np.bincount(inv[pts], minlength=m)),
+        "x_sum": tile_sum(c.x),
+        "y_sum": tile_sum(c.y),
+        "utmx_sum": tile_sum(ux),
     })
 
 
@@ -107,17 +105,19 @@ def _polygon_index(n_polygons: int) -> PolygonIndex:
 
 
 def _tile_partials(docs, zoom: int, n_polygons: int):
-    """docs -> coord spans -> transform+join+tile partials (the fused
-    stateless chain shared by the one-shot and resumable runners)."""
-    coords = docs.map_batches(extract_coords_batch, batch_format="pyarrow")
+    """docs -> per-tile partials: the fused kernel over bounded doc
+    slices, shared by the one-shot and resumable runners."""
     ref = ray.put(_polygon_index(n_polygons))
     # stateless tasks (not an actor pool): worker processes stay warm
-    # across runs and elastically fill every core
-    return coords.map_batches(
-        transform_join_tile,
+    # across runs and elastically fill every core.  The doc source's
+    # map cannot change its row count, so the batch_size does not stop
+    # Ray Data fusing the kernel into it: one task per block, one
+    # kernel call per _DOC_SLICE docs
+    return docs.map_batches(
+        doc_tile_partials,
         fn_kwargs={"index_ref": ref, "zoom": zoom},
         batch_format="pyarrow",
-        batch_size=None,  # one task per block: keep every core busy
+        batch_size=_DOC_SLICE,
     )
 
 
@@ -142,12 +142,6 @@ def flagship(sf_dir: str = None, n_docs: int = None, zoom: int = 8,
                           ["tile"], _TILE_AGGS)
 
 
-# doc_dataset's batch size: a shard task synthesizes its id range in
-# chunks of this many docs, so its memory is bounded by the chunk, not
-# by the shard
-_DOC_CHUNK = 65536
-
-
 def _shard_id(i: int) -> str:
     return f"shard-{i:05d}"
 
@@ -156,7 +150,7 @@ def _shard_id(i: int) -> str:
 def _checkpoint_shard(i: int, bounds, root: str, config: dict, index_ref,
                       zoom: int) -> int:
     """One pending shard as one Ray task: synthesize the shard's doc-id
-    range chunk by chunk through the fused flagship chain, combine its
+    range slice by slice through the fused flagship kernel, combine its
     tile partials, and checkpoint them from inside the worker (manifest
     last).  Returns the shard id.
 
@@ -170,13 +164,12 @@ def _checkpoint_shard(i: int, bounds, root: str, config: dict, index_ref,
     (ref,) = index_ref
     lo, hi = int(bounds[i]), int(bounds[i + 1])
     parts = [
-        transform_join_tile(
-            extract_coords_batch(make_doc_batch(
-                np.arange(s, min(s + _DOC_CHUNK, hi), dtype=np.int64))),
+        doc_tile_partials(make_doc_batch(
+            np.arange(s, min(s + _DOC_SLICE, hi), dtype=np.int64)),
             ref, zoom)
         # lo + 1: an empty shard (n_docs < n_shards) still
         # checkpoints an empty partial table
-        for s in range(lo, max(hi, lo + 1), _DOC_CHUNK)]
+        for s in range(lo, max(hi, lo + 1), _DOC_SLICE)]
     table = combine_block(pa.concat_tables(parts), ["tile"], _TILE_AGGS)
     CheckpointWriter(root, config).write_partition(
         _shard_id(i), table,

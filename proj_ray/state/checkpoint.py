@@ -107,6 +107,9 @@ class CheckpointWriter:
                 continue
             pid = name[len("part="):]
             if self.is_done(pid):
-                parts.append(pq.read_table(
-                    os.path.join(self.root, name, "data.parquet")))
+                # ParquetFile reads the one file directly, where
+                # read_table would run dataset discovery on it first
+                with pq.ParquetFile(os.path.join(
+                        self.root, name, "data.parquet")) as f:
+                    parts.append(f.read())
         return pa.concat_tables(parts) if parts else pa.table({})

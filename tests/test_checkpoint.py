@@ -66,6 +66,24 @@ def test_partial_failure_resume(tmp_path):
     assert computed == 2 and skipped == 2
 
 
+def test_read_all_matches_read_table(tmp_path):
+    """read_all returns what pq.read_table gives for every valid part:
+    the same schema (metadata included) and the same rows, in
+    partition order; an orphaned part is left out."""
+    import pyarrow.parquet as pq
+
+    root = str(tmp_path / "out")
+    w, _, _ = run_pending([str(i) for i in range(4)], make_table, root,
+                          {"v": 1})
+    os.remove(os.path.join(root, "_manifest_3.json"))
+    want = pa.concat_tables([
+        pq.read_table(os.path.join(root, f"part={i}", "data.parquet"))
+        for i in range(3)])
+    got = w.read_all()
+    assert got.schema.equals(want.schema, check_metadata=True)
+    assert got.equals(want)
+
+
 def assert_tiles_match_oneshot(tiles, n_docs):
     """The checkpointed tile table equals one-shot flagship()'s."""
     import pandas as pd
