@@ -89,21 +89,13 @@ def tree_aggregate(ds, keys: Sequence[str],
 
 
 def hash_distinct(ds, col: str, num_buckets: int = 64):
-    """DISTINCT values of one column at unbounded cardinality: per-batch
-    unique (the combiner), then the hash-partitioned exact dedup — the
-    shuffle moves at most one row per (batch, distinct value) and no
-    single task ever sees the whole key universe.  Returns a Dataset
-    with the single column `col`."""
-    def uniq(batch: pa.Table) -> pa.Table:
-        u = np.unique(batch.column(col).to_numpy(zero_copy_only=False))
-        return pa.table({col: pa.array(u),
-                         "__one": pa.array(np.ones(len(u),
-                                                   dtype=np.int64))})
-
-    reduced = hash_shuffle_aggregate(
-        ds.map_batches(uniq, batch_format="pyarrow"),
-        [col], [("__one", "min")], num_buckets=num_buckets)
-    return reduced.drop_columns(["__one"])
+    """DISTINCT values of one column at unbounded cardinality: a
+    hash-partitioned aggregate with no aggregations — the per-batch
+    combine is the batch's distinct values, so the shuffle moves at
+    most one row per (batch, distinct value) and no single task ever
+    sees the whole key universe.  Returns a Dataset with the single
+    column `col`."""
+    return hash_shuffle_aggregate(ds, [col], [], num_buckets=num_buckets)
 
 
 def hash_shuffle_aggregate(ds, keys: Sequence[str],
@@ -111,7 +103,7 @@ def hash_shuffle_aggregate(ds, keys: Sequence[str],
                            num_buckets: int = 64):
     """Hash-partitioned aggregate for unbounded key cardinality: bucket
     by the first key's hash (the shuffle key), then one exact combine
-    per bucket."""
+    per bucket.  Empty `aggs` gives the DISTINCT key tuples."""
     from proj_ray.stages.partitioning import keyed_apply
 
     k = list(keys)

@@ -2,20 +2,26 @@
 
 All follow the scale pattern from the guide: vectorized per-batch
 shingling/hashing inside map_batches (stages/hashing.py NumPy kernels
-over the raw Arrow buffers — no per-row Python), then shuffles keyed by
-compact values — never a driver-side materialization of the corpus.
+over the raw Arrow buffers — no per-row Python), then keyed exchanges
+on compact values — never a driver-side materialization of the corpus.
+Every exchange is `partitioning.keyed_apply` (one-sided) or
+`partitioning.keyed_cogroup` (two-input); a bucket's rows reach one
+kernel call sorted, `key_spans` finds its runs and `_run_pairs` expands
+each run into its within-run pairs.
 
 * exact_dedup       — md5(text) hash-partition + per-group min(doc_id)
                       (SQL-oracle-checkable).
 * minhash_lsh_pairs — shingle -> 64-perm MinHash -> banded LSH buckets
-                      -> candidate pairs -> exact Jaccard verify via a
-                      doc_id-keyed SHUFFLE JOIN of pair rows to per-doc
-                      shingle sets (work scales with candidate count,
+                      -> candidate pairs -> exact Jaccard verify against
+                      per-doc shingle sets (`_verify_pairs`: a broadcast
+                      of the needed sets, or two doc_id-keyed cogroups;
                       the driver never sees document text).
+* ngram_jaccard_pairs — the deterministically complete twin: prefix
+                      filtering (or a dense bitset scan) + the same verify.
 * simhash64         — 64-bit SimHash over token hashes; near-dup pairs
                       by Hamming distance within LSH-rotated buckets.
 * embedding_near_dup— cosine near-duplicates via random-hyperplane LSH
-                      banding (the shuffle key) + exact cosine verify
+                      banding (the exchange key) + exact cosine verify
                       inside each bucket; band count/width auto-sized
                       from the threshold for ~99% recall at the
                       threshold boundary.
@@ -67,17 +73,49 @@ def _dedupe_pairs(a: np.ndarray, b: np.ndarray):
     return a[first], b[first]
 
 
-def _join_partitions(cap: int = 16) -> int:
-    """Hash-join partition count sized to the cluster: each partition
-    pins an aggregator actor, so more partitions than cores deadlocks
-    small clusters and over-fragments large ones."""
-    import ray
+def _np(t: pa.Table, col: str) -> np.ndarray:
+    return t.column(col).to_numpy(zero_copy_only=False)
 
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        cpus = 4
-    return max(2, min(cap, cpus // 2))
+
+# `_run_pairs` expands runs in chunks of about this many pairs, so a
+# partition with many or long runs holds only one chunk's candidates
+# at a time plus the pairs it keeps
+_PAIR_CHUNK = 1 << 20
+
+
+def _run_pairs(starts, lens, keep):
+    """Row indices (i, j), i < j, of the pairs of rows inside one run
+    (runs as `partitioning.key_spans` returns them) for which the
+    vectorized predicate `keep(i, j)` holds; run by run, each run's
+    pairs in `triu_indices` order."""
+    multi = lens >= 2
+    starts, lens = starts[multi], lens[multi]
+    npairs = lens * (lens - 1) // 2
+    chunk = (np.cumsum(npairs) - npairs) // _PAIR_CHUNK
+    cut = np.flatnonzero(np.diff(chunk)) + 1
+    out_i, out_j = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for s, ln in zip(np.split(starts, cut), np.split(lens, cut)):
+        # each row of these runs, and how many later rows share its run
+        row = np.arange(int(ln.sum())) + np.repeat(s - (np.cumsum(ln) - ln),
+                                                   ln)
+        later = np.repeat(s + ln, ln) - row - 1
+        i = np.repeat(row, later)
+        j = i + 1 + np.arange(len(i)) \
+            - np.repeat(np.cumsum(later) - later, later)
+        m = keep(i, j)
+        out_i.append(i[m])
+        out_j.append(j[m])
+    return np.concatenate(out_i), np.concatenate(out_j)
+
+
+def _distinct_pairs(pairs):
+    """The distinct (doc_a, doc_b) rows of a candidate stream (a pair
+    found in several buckets verifies once), materialized so that the
+    verify and its count read the same blocks."""
+    from proj_ray.stages.agg import hash_shuffle_aggregate
+
+    return hash_shuffle_aggregate(pairs, ["doc_a", "doc_b"], [],
+                                  num_buckets=16).materialize()
 
 
 def text_md5_batch(batch: pa.Table) -> pa.Table:
@@ -206,14 +244,15 @@ def minhash_bands_batch(batch: pa.Table,
     })
 
 
-def shingle_sets_batch(batch: pa.Table) -> pa.Table:
-    """(doc_id, shingles binary) with per-doc sorted unique shingle
-    hashes packed as raw int64 bytes — the compact join payload for
-    Jaccard verification (binary because Acero hash joins don't carry
-    list-typed payload columns)."""
+def shingle_sets_batch(batch: pa.Table, ngram: int = 4) -> pa.Table:
+    """(doc_id, shingles binary) with per-doc sorted unique crc32
+    `ngram`-byte shingle hashes packed as raw int64 bytes — the compact
+    per-doc payload of Jaccard verification, decoded with one buffer
+    view (`_binary_int64_segments`) instead of a list column's
+    offsets-plus-values pair."""
     from proj_ray.stages.hashing import doc_shingles, segment_sorted_unique
 
-    hashes, seg = doc_shingles(batch.column("text"), 4)
+    hashes, seg = doc_shingles(batch.column("text"), ngram)
     vals, new_seg = segment_sorted_unique(hashes, seg)
     n = len(new_seg) - 1
     byte_off = (new_seg * 8).astype(np.int32)
@@ -287,7 +326,7 @@ def pair_jaccard(list_a, list_b) -> np.ndarray:
 # (b) the DISTINCT docs appearing in pairs small enough that their
 # shingle sets broadcast (~5 KB/doc) — pair count does NOT bound the
 # payload, distinct-doc count does.  Streams beyond either gate fall
-# back to the doc_id-keyed hash shuffle join.
+# back to the doc_id-keyed exchanges.
 _BROADCAST_PAIR_LIMIT = 2_000_000
 _BROADCAST_DOC_LIMIT = 100_000
 
@@ -298,6 +337,28 @@ _DENSE_VOCAB_MAX = 1 << 16       # <= 65,536 distinct shingles (8 KB/doc)
 _DENSE_SIG_BYTES = 256 << 20     # packed table cap: 256 MB
 _BROADCAST_DF_MAX = 4_000_000    # df-table broadcast gate (~64 MB)
 _GATE_MARGIN = 1.25              # headroom over the HLL estimate
+
+
+def _verified(t: pa.Table, sh_a, sh_b,
+              jaccard_threshold: float) -> pa.Table:
+    """The (doc_a, doc_b, jaccard) rows of the pairs `t` whose shingle
+    sets `sh_a`, `sh_b` (row-aligned with `t`) reach the threshold."""
+    jac = pair_jaccard(sh_a, sh_b)
+    out = pa.table({"doc_a": t.column("doc_a"),
+                    "doc_b": t.column("doc_b"),
+                    "jaccard": pa.array(jac)})
+    return out.filter(pa.array(jac >= jaccard_threshold))
+
+
+def _pair_frame(verified) -> pd.DataFrame:
+    """A verified-pair Dataset (None for no candidates) as a DataFrame
+    sorted by (doc_a, doc_b), typed even when empty."""
+    df = None if verified is None else verified.to_pandas()
+    if df is None or df.empty:
+        return pd.DataFrame({"doc_a": pd.Series([], dtype="int64"),
+                             "doc_b": pd.Series([], dtype="int64"),
+                             "jaccard": pd.Series([], dtype="float64")})
+    return df.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
 
 def _verify_pairs(pairs, sigs_src, jaccard_threshold: float):
@@ -312,46 +373,42 @@ def _verify_pairs(pairs, sigs_src, jaccard_threshold: float):
     double — bit-identical to SQL `inter::DOUBLE / uni`, which is what
     the DuckDB oracle computes.
 
-    Two shapes, picked by candidate count:
+    Two shapes, picked by candidate and distinct-doc count:
 
-    * small (<= _BROADCAST_PAIR_LIMIT): the pair stream fits the
-      driver.  The shingle stream is FILTERED distributed to only the
-      docs appearing in some pair (bounded by 2x pair count), the
-      filtered set is broadcast once via ray.put, and each pair batch
-      joins against it in-task through the per-worker cache.  No
-      Dataset.join — immune to the empty-hash-partition ArrowInvalid
-      that a tiny stream split 16 ways produces (CORRECTNESS_r02
-      minhash_pairs crash).
-    * large: hash shuffle joins keyed by doc_id, with num_partitions
-      sized by the PAIR COUNT (not the CPU count) so no Acero
-      partition is empty."""
+    * small (<= _BROADCAST_PAIR_LIMIT pairs over <= _BROADCAST_DOC_LIMIT
+      docs): the pair stream fits the driver.  The shingle stream is
+      FILTERED distributed to only the docs appearing in some pair,
+      the filtered set is broadcast once via ray.put, and each pair
+      batch looks its two sets up in-task through the per-worker cache.
+    * large: two doc_id-keyed exchanges (`keyed_cogroup` of the pairs
+      with the shingle sets, on doc_a and then on doc_b).  Each
+      partition looks its pairs' sets up in its own slice of the sets;
+      the second also verifies.  Both run as plain tasks, so no
+      exchange holds CPU slots while it waits for its inputs."""
     import ray
 
+    from proj_ray.stages.partitioning import keyed_cogroup
     from proj_ray.stages.worker_cache import get_broadcast
 
-    empty = pd.DataFrame({"doc_a": pd.Series([], dtype="int64"),
-                          "doc_b": pd.Series([], dtype="int64"),
-                          "jaccard": pd.Series([], dtype="float64")})
     n_pairs = pairs.count()
     if n_pairs == 0:
-        return empty
+        return _pair_frame(None)
 
     need = None
     if n_pairs <= _BROADCAST_PAIR_LIMIT:
         pair_tbl = pa.concat_tables(
             ray.get(pairs.to_arrow_refs()), promote_options="default")
-        need = np.unique(np.concatenate([
-            pair_tbl.column("doc_a").to_numpy(zero_copy_only=False),
-            pair_tbl.column("doc_b").to_numpy(zero_copy_only=False)]))
+        need = np.unique(np.concatenate([_np(pair_tbl, "doc_a"),
+                                         _np(pair_tbl, "doc_b")]))
         if len(need) > _BROADCAST_DOC_LIMIT:
-            need = None  # payload too big to broadcast — shuffle join
+            need = None  # payload too big to broadcast — exchange
 
     if need is not None:
         need_ref = ray.put(need)
 
         def filt(t: pa.Table) -> pa.Table:
             ids = get_broadcast(need_ref)  # sorted
-            d = t.column("doc_id").to_numpy(zero_copy_only=False)
+            d = _np(t, "doc_id")
             pos = np.searchsorted(ids, d)
             pos[pos >= len(ids)] = 0
             return t.filter(pa.array(ids[pos] == d))
@@ -359,66 +416,51 @@ def _verify_pairs(pairs, sigs_src, jaccard_threshold: float):
         small = sigs_src().map_batches(filt, batch_format="pyarrow")
         sig_tbl = pa.concat_tables(ray.get(small.to_arrow_refs()),
                                    promote_options="default")
-        order = np.argsort(
-            sig_tbl.column("doc_id").to_numpy(zero_copy_only=False))
-        sig_tbl = sig_tbl.take(pa.array(order)).combine_chunks()
-        sig_ref = ray.put(sig_tbl)
+        sig_ref = ray.put(sig_tbl.sort_by("doc_id").combine_chunks())
 
         def verify(t: pa.Table) -> pa.Table:
             sig = get_broadcast(sig_ref)
-            ids = sig.column("doc_id").to_numpy(zero_copy_only=False)
-            sh = sig.column("shingles")
-            a = t.column("doc_a").to_numpy(zero_copy_only=False)
-            b = t.column("doc_b").to_numpy(zero_copy_only=False)
-            sh_a = sh.take(pa.array(np.searchsorted(ids, a)))
-            sh_b = sh.take(pa.array(np.searchsorted(ids, b)))
-            jac = pair_jaccard(sh_a, sh_b)
-            out = pa.table({"doc_a": t.column("doc_a"),
-                            "doc_b": t.column("doc_b"),
-                            "jaccard": pa.array(jac)})
-            return out.filter(pa.array(jac >= jaccard_threshold))
+            ids, sh = _np(sig, "doc_id"), sig.column("shingles")
+            return _verified(
+                t, sh.take(pa.array(np.searchsorted(ids, _np(t, "doc_a")))),
+                sh.take(pa.array(np.searchsorted(ids, _np(t, "doc_b")))),
+                jaccard_threshold)
 
-        verified = pairs.map_batches(verify, batch_format="pyarrow")
-    else:
-        # one corpus pass for the shingle sets, pinned in the object
-        # store: without this each hash join re-executes the whole
-        # upstream while its aggregator actors hold CPU slots
-        sigs = sigs_src().materialize()
-        # every Acero hash partition must be non-empty: size the
-        # partition count by the pair stream, capped by the cluster
-        nparts = max(2, min(_join_partitions(), n_pairs // 1024))
-        joined = pairs.join(sigs, join_type="inner",
-                            num_partitions=nparts,
-                            on=("doc_a",), right_on=("doc_id",))
-        joined = joined.rename_columns({"shingles": "sh_a"})
-        joined = joined.join(sigs, join_type="inner",
-                             num_partitions=nparts,
-                             on=("doc_b",), right_on=("doc_id",))
-        joined = joined.rename_columns({"shingles": "sh_b"})
+        return _pair_frame(pairs.map_batches(verify, batch_format="pyarrow"))
 
-        def verify_joined(t: pa.Table) -> pa.Table:
-            jac = pair_jaccard(t.column("sh_a"), t.column("sh_b"))
-            out = pa.table({"doc_a": t.column("doc_a"),
-                            "doc_b": t.column("doc_b"),
-                            "jaccard": pa.array(jac)})
-            return out.filter(pa.array(jac >= jaccard_threshold))
+    # one corpus pass for the shingle sets, pinned: both exchanges
+    # read it
+    sigs = sigs_src().materialize()
 
-        verified = joined.map_batches(verify_joined, batch_format="pyarrow")
+    def sets_of(sig: pa.Table, docs: np.ndarray):
+        """`sig`'s shingle sets of `docs`, every one present in `sig`."""
+        sig = sig.sort_by("doc_id")
+        return sig.column("shingles").take(
+            pa.array(np.searchsorted(_np(sig, "doc_id"), docs)))
 
-    df = verified.to_pandas()  # final result: near-dup pairs (small)
-    if df.empty:
-        return empty
-    return df.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
+    def attach_a(t: pa.Table, sig: pa.Table) -> pa.Table:
+        return t.append_column("sh_a", sets_of(sig, _np(t, "doc_a")))
+
+    def verify_b(t: pa.Table, sig: pa.Table) -> pa.Table:
+        return _verified(t, t.column("sh_a"), sets_of(sig, _np(t, "doc_b")),
+                         jaccard_threshold)
+
+    # pinned: keyed_cogroup reads its left input's schema, which on an
+    # unmaterialized exchange would run that exchange a second time
+    with_a = keyed_cogroup(pairs, sigs, "doc_a", attach_a,
+                           right_key="doc_id").materialize()
+    return _pair_frame(keyed_cogroup(with_a, sigs, "doc_b", verify_b,
+                                     right_key="doc_id"))
 
 
 def minhash_lsh_pairs(docs_ds, jaccard_threshold: float = 0.8):
     """MinHash-LSH near-dup pairs with exact Jaccard verification.
 
-    Scale shape: (1) LSH explode + groupby(band) shuffle produces
-    candidate pairs; (2) pairs are verified against the per-doc
-    shingle-set stream by `_verify_pairs` (broadcast join for small
-    candidate streams, doc_id-keyed shuffle joins for large ones) and
-    the exact Jaccard is computed vectorized.  The driver never holds
+    Scale shape: (1) LSH explode + a band-bucket-keyed exchange
+    produces candidate pairs; (2) pairs are verified against the
+    per-doc shingle-set stream by `_verify_pairs` (a broadcast for
+    small candidate streams, doc_id-keyed exchanges for large ones)
+    and the exact Jaccard is computed vectorized.  The driver never holds
     document text; all stages stream.
 
     Recall note (ADVICE r2): banding is derived from the threshold via
@@ -437,77 +479,28 @@ def minhash_lsh_pairs(docs_ds, jaccard_threshold: float = 0.8):
         minhash_bands_batch,
         fn_kwargs={"n_bands": n_bands, "rows_per_band": rows_per_band},
         batch_format="pyarrow")
-    # Shuffling into (band_id, band_hash) groups directly would create
-    # one tiny pandas group per LSH bucket (tens of thousands) — the
-    # per-group overhead dwarfs the work.  Instead hash buckets into
-    # coarse partitions (size-derived: ~256 MB of input per partition,
-    # floor 32) and emit pairs VECTORIZED per partition: sort by
-    # (band, hash), find equal-key runs, expand pairs only for runs
-    # with >= 2 docs (rare: true candidates).
-    from proj_ray.stages.partitioning import derive_num_partitions
+    # One kernel call per (band_id, band_hash) bucket would pay per-call
+    # overhead on tens of thousands of tiny buckets, so the exchange is
+    # on band_hash into coarse partitions (size-derived: ~256 MB of
+    # input per partition, floor 32) and each partition expands the
+    # pairs of its equal-(band_hash, band_id) runs vectorized; runs of
+    # >= 2 docs (the candidates) are rare.
+    from proj_ray.stages.partitioning import (derive_num_partitions,
+                                              key_spans, keyed_apply)
 
-    num_parts = derive_num_partitions(docs_ds, default=32)
+    def bucket_pairs(t: pa.Table) -> pa.Table:
+        doc = _np(t, "doc_id")
+        i, j = _run_pairs(*key_spans(_np(t, "band_hash"), _np(t, "band_id")),
+                          lambda i, j: doc[i] != doc[j])
+        # drop pairs repeated within this partition before the exchange
+        a, b = _dedupe_pairs(doc[i], doc[j])
+        return pa.table({"doc_a": pa.array(a), "doc_b": pa.array(b)})
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        h = t.column("band_hash").to_numpy(zero_copy_only=False) \
-            .astype(np.uint64)
-        b = t.column("band_id").to_numpy(zero_copy_only=False) \
-            .astype(np.uint64)
-        part = ((h ^ (b * _MIX)) % np.uint64(num_parts)).astype(np.int64)
-        return t.append_column("__part", pa.array(part))
-
-    def part_pairs(t: pa.Table) -> pa.Table:
-        band = t.column("band_id").to_numpy(zero_copy_only=False)
-        h = t.column("band_hash").to_numpy(zero_copy_only=False)
-        doc = t.column("doc_id").to_numpy(zero_copy_only=False)
-        order = np.lexsort((doc, h, band))
-        band, h, doc = band[order], h[order], doc[order]
-        n = len(doc)
-        empty = pa.table({"doc_a": pa.array([], type=pa.int64()),
-                          "doc_b": pa.array([], type=pa.int64())})
-        if n < 2:
-            return empty
-        new_run = np.empty(n, dtype=bool)
-        new_run[0] = True
-        new_run[1:] = (band[1:] != band[:-1]) | (h[1:] != h[:-1])
-        run_id = np.cumsum(new_run) - 1
-        starts = np.flatnonzero(new_run)
-        lens = np.diff(np.append(starts, n))
-        out_a = []
-        out_b = []
-        for ri in np.flatnonzero(lens >= 2):  # only true candidate runs
-            ids = np.unique(doc[starts[ri]:starts[ri] + lens[ri]])
-            if len(ids) < 2:
-                continue
-            i, j = np.triu_indices(len(ids), 1)
-            out_a.append(ids[i])
-            out_b.append(ids[j])
-        if not out_a:
-            return empty
-        a = np.concatenate(out_a)
-        b = np.concatenate(out_b)
-        # drop duplicate pairs within this partition before the shuffle
-        a, b = _dedupe_pairs(a, b)
-        return pa.table({"doc_a": pa.array(a),
-                         "doc_b": pa.array(b)})
-
-    pairs = (bands.map_batches(add_bucket, batch_format="pyarrow")
-             .groupby("__part")
-             .map_groups(part_pairs, batch_format="pyarrow"))
-    # a pair found in several bands must verify once: distinct via a
-    # small grouped aggregate (count is discarded)
-    from proj_ray.stages.agg import hash_shuffle_aggregate
-    pairs = pairs.map_batches(
-        lambda t: t.append_column("one", pa.array(
-            np.ones(len(t), dtype=np.int64))),
-        batch_format="pyarrow")
-    pairs = hash_shuffle_aggregate(pairs, ["doc_a", "doc_b"],
-                                   [("one", "min")], num_buckets=16)
-    # candidate stream is small relative to the corpus; pin it so the
-    # verify pass (and its count) reads the same blocks
-    pairs = pairs.drop_columns(["one"]).materialize()
+    pairs = keyed_apply(bands, "band_hash", bucket_pairs,
+                        derive_num_partitions(docs_ds, default=32),
+                        sort_by=("band_id", "doc_id"))
     return _verify_pairs(
-        pairs,
+        _distinct_pairs(pairs),
         lambda: docs_ds.map_batches(shingle_sets_batch,
                                     batch_format="pyarrow"),
         jaccard_threshold)
@@ -595,24 +588,12 @@ def ngram_jaccard_pairs(docs_ds, jaccard_threshold: float = 0.8,
     merge sort.  Completeness is trivial: every pair is examined."""
     import ray
 
-    from proj_ray.stages.agg import hash_shuffle_aggregate
+    from proj_ray.stages.distinct import hll_estimate_batches
+    from proj_ray.stages.partitioning import (derive_num_partitions,
+                                              key_spans, keyed_apply)
     from proj_ray.stages.worker_cache import get_broadcast
 
-    def sets_batch(t: pa.Table) -> pa.Table:
-        from proj_ray.stages.hashing import doc_shingles, \
-            segment_sorted_unique
-
-        hashes, seg = doc_shingles(t.column("text"), ngram)
-        vals, new_seg = segment_sorted_unique(hashes, seg)
-        n = len(new_seg) - 1
-        byte_off = (new_seg * 8).astype(np.int32)
-        blob = pa.BinaryArray.from_buffers(
-            pa.binary(), n,
-            [None, pa.py_buffer(byte_off.tobytes()),
-             pa.py_buffer(np.ascontiguousarray(vals).tobytes())])
-        return pa.table({"doc_id": t.column("doc_id"), "shingles": blob})
-
-    sigs = docs_ds.map_batches(sets_batch,
+    sigs = docs_ds.map_batches(shingle_sets_batch, fn_kwargs={"ngram": ngram},
                                batch_format="pyarrow").materialize()
 
     # (2) 100-TB shape (r4 VERDICT ask #2, r5 gate): the shingle-df
@@ -624,27 +605,17 @@ def ngram_jaccard_pairs(docs_ds, jaccard_threshold: float = 0.8,
     #     by the executable max_keys gate), broadcasts, and the prefix
     #     ranks resolve in ONE streaming pass — the fast small-corpus
     #     shape;
-    #   - vocabulary is corpus-scale: df resolves INSIDE a
-    #     shingle-hash partition (the exploded stream carries exactly
-    #     one row per (doc, shingle), so df = partition-local rows per
-    #     shingle), and the rarest-first prefix ranks resolve in a
-    #     second, doc-keyed partition — nothing shingle-keyed reaches
-    #     the driver.  The dense regime is impossible here
-    #     (_DENSE_VOCAB_MAX << _BROADCAST_DF_MAX).
-    from proj_ray.stages.distinct import hll_estimate_batches
-    from proj_ray.stages.partitioning import derive_num_partitions
-
+    #   - vocabulary is corpus-scale: df resolves in a shingle-keyed
+    #     exchange (the exploded stream carries exactly one row per
+    #     (doc, shingle), so df = rows per shingle), and the
+    #     rarest-first prefix ranks resolve in a doc_id-keyed one —
+    #     nothing shingle-keyed reaches the driver.  The dense regime
+    #     is impossible here (_DENSE_VOCAB_MAX << _BROADCAST_DF_MAX).
     n_docs = sigs.count()
     num_parts = derive_num_partitions(sigs, default=32)
     est_vocab = hll_estimate_batches(
         sigs, lambda t: _binary_int64_segments(t.column("shingles"))[0])
     broadcast_df = (est_vocab * _GATE_MARGIN <= _BROADCAST_DF_MAX)
-
-    def add_part(t: pa.Table) -> pa.Table:
-        s = t.column("shingle").to_numpy(zero_copy_only=False) \
-            .astype(np.uint64)
-        part = ((s * _MIX) % np.uint64(num_parts)).astype(np.int64)
-        return t.append_column("__part", pa.array(part))
 
     if broadcast_df:
         from proj_ray.stages.agg import tree_aggregate
@@ -661,9 +632,7 @@ def ngram_jaccard_pairs(docs_ds, jaccard_threshold: float = 0.8,
             max_keys=_BROADCAST_DF_MAX)
         freq_tbl = pa.concat_tables(ray.get(freq_ds.to_arrow_refs()),
                                     promote_options="default")
-        fvals = freq_tbl.column("shingle") \
-            .to_numpy(zero_copy_only=False)
-        fcnts = freq_tbl.column("df").to_numpy(zero_copy_only=False)
+        fvals, fcnts = _np(freq_tbl, "shingle"), _np(freq_tbl, "df")
         forder = np.argsort(fvals)
         fvals, fcnts = fvals[forder], fcnts[forder]
         freq_ref = ray.put((fvals, fcnts))
@@ -678,7 +647,7 @@ def ngram_jaccard_pairs(docs_ds, jaccard_threshold: float = 0.8,
         def prefix_rows(t: pa.Table) -> pa.Table:
             fv, fc = get_broadcast(freq_ref)
             vals, off = _binary_int64_segments(t.column("shingles"))
-            doc = t.column("doc_id").to_numpy(zero_copy_only=False)
+            doc = _np(t, "doc_id")
             counts = np.diff(off)
             nd = len(counts)
             doc_idx = np.repeat(np.arange(nd, dtype=np.int64), counts)
@@ -698,8 +667,7 @@ def ngram_jaccard_pairs(docs_ds, jaccard_threshold: float = 0.8,
                 # (df, val) order — the PPJoin positional filter input
                 "rnk": pa.array(rank[mask])})
 
-        prefix = (sigs.map_batches(prefix_rows, batch_format="pyarrow")
-                  .map_batches(add_part, batch_format="pyarrow"))
+        prefix = sigs.map_batches(prefix_rows, batch_format="pyarrow")
     else:
         dense = False  # vocab >> _DENSE_VOCAB_MAX by the gate
         fvals = None
@@ -707,74 +675,37 @@ def ngram_jaccard_pairs(docs_ds, jaccard_threshold: float = 0.8,
         def explode_shingles(t: pa.Table) -> pa.Table:
             vals, off = _binary_int64_segments(t.column("shingles"))
             counts = np.diff(off)
-            doc = t.column("doc_id").to_numpy(zero_copy_only=False)
+            doc = _np(t, "doc_id")
             return pa.table({
                 "shingle": pa.array(vals),
                 "doc_id": pa.array(np.repeat(doc, counts)),
                 "nsh": pa.array(np.repeat(counts.astype(np.int64),
                                           counts))})
 
-        exploded = sigs.map_batches(explode_shingles,
-                                    batch_format="pyarrow")
-
         def attach_df(t: pa.Table) -> pa.Table:
-            t = t.drop_columns(["__part"])
-            if len(t) == 0:
-                return t.append_column("df",
-                                       pa.array([], type=pa.int64()))
-            sh = t.column("shingle").to_numpy(zero_copy_only=False)
-            u, inv = np.unique(sh, return_inverse=True)
-            df = np.bincount(inv).astype(np.int64)
+            _, inv, df = np.unique(_np(t, "shingle"), return_inverse=True,
+                                   return_counts=True)
             return t.append_column("df", pa.array(df[inv]))
 
-        def add_doc_part(t: pa.Table) -> pa.Table:
-            d = t.column("doc_id").to_numpy(zero_copy_only=False) \
-                .astype(np.uint64)
-            part = ((d * _MIX) % np.uint64(num_parts)).astype(np.int64)
-            return t.append_column("__dpart", pa.array(part))
-
-        # prefix emission: rank each doc's shingles rarest-first and
-        # keep the first p = s - ceil(t*s) + 1 (ties broken by shingle
-        # value — the same total order in every partition)
+        # prefix emission: each doc's rows arrive rarest-first (ties
+        # broken by shingle value — the same total order in every
+        # partition); keep the first p = s - ceil(t*s) + 1
         def rank_prefix(t: pa.Table) -> pa.Table:
-            t = t.drop_columns(["__dpart"])
-            doc = t.column("doc_id").to_numpy(zero_copy_only=False)
-            if len(doc) == 0:
-                return pa.table({
-                    "shingle": pa.array([], type=pa.int64()),
-                    "doc_id": pa.array([], type=pa.int64()),
-                    "nsh": pa.array([], type=pa.int64()),
-                    "rnk": pa.array([], type=pa.int64())})
-            sh = t.column("shingle").to_numpy(zero_copy_only=False)
-            df = t.column("df").to_numpy(zero_copy_only=False)
-            nsh = t.column("nsh").to_numpy(zero_copy_only=False)
-            order = np.lexsort((sh, df, doc))
-            doc_s, sh_s, nsh_s = doc[order], sh[order], nsh[order]
-            n = len(doc_s)
-            new = np.empty(n, dtype=bool)
-            new[0] = True
-            new[1:] = doc_s[1:] != doc_s[:-1]
-            starts = np.flatnonzero(new)
-            runs = np.diff(np.append(starts, n))
-            rank = np.arange(n, dtype=np.int64) \
+            starts, runs = key_spans(_np(t, "doc_id"))
+            rank = np.arange(len(t), dtype=np.int64) \
                 - np.repeat(starts, runs)
-            p = nsh_s - np.ceil(jaccard_threshold * nsh_s) \
+            nsh = _np(t, "nsh")
+            mask = rank < nsh - np.ceil(jaccard_threshold * nsh) \
                 .astype(np.int64) + 1
-            mask = rank < p
-            return pa.table({
-                "shingle": pa.array(sh_s[mask]),
-                "doc_id": pa.array(doc_s[mask]),
-                "nsh": pa.array(nsh_s[mask]),
-                "rnk": pa.array(rank[mask])})
+            return t.drop_columns(["df"]) \
+                .append_column("rnk", pa.array(rank)) \
+                .filter(pa.array(mask))
 
-        prefix = (exploded.map_batches(add_part,
-                                       batch_format="pyarrow")
-                  .groupby("__part")
-                  .map_groups(attach_df, batch_format="pyarrow")
-                  .map_batches(add_doc_part, batch_format="pyarrow")
-                  .groupby("__dpart")
-                  .map_groups(rank_prefix, batch_format="pyarrow")
-                  .map_batches(add_part, batch_format="pyarrow"))
+        with_df = keyed_apply(
+            sigs.map_batches(explode_shingles, batch_format="pyarrow"),
+            "shingle", attach_df, num_parts)
+        prefix = keyed_apply(with_df, "doc_id", rank_prefix, num_parts,
+                             sort_by=("df", "shingle"))
 
     if dense:
         # ---- dense regime: broadcast packed bitsets, verify inline ----
@@ -846,49 +777,18 @@ def ngram_jaccard_pairs(docs_ds, jaccard_threshold: float = 0.8,
                              "doc_b": pa.array(b, type=pa.int64()),
                              "jaccard": pa.array(j, type=pa.float64())})
 
-        verified = sigs.map_batches(all_pairs_dense,
-                                    batch_format="pyarrow")
-        df = verified.to_pandas()
-        if df.empty:
-            return pd.DataFrame({
-                "doc_a": pd.Series([], dtype="int64"),
-                "doc_b": pd.Series([], dtype="int64"),
-                "jaccard": pd.Series([], dtype="float64")})
-        return df.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
+        return _pair_frame(sigs.map_batches(all_pairs_dense,
+                                            batch_format="pyarrow"))
 
-    # ---- sparse regime: candidate shuffle + shared merge verify ----
-    def part_pairs(t: pa.Table) -> pa.Table:
-        sh = t.column("shingle").to_numpy(zero_copy_only=False)
-        doc = t.column("doc_id").to_numpy(zero_copy_only=False)
-        nsh = t.column("nsh").to_numpy(zero_copy_only=False)
-        rnk = t.column("rnk").to_numpy(zero_copy_only=False)
-        order = np.lexsort((doc, sh))
-        sh, doc, nsh, rnk = (sh[order], doc[order], nsh[order],
-                             rnk[order])
-        n = len(doc)
-        empty = pa.table({"doc_a": pa.array([], type=pa.int64()),
-                          "doc_b": pa.array([], type=pa.int64())})
-        if n < 2:
-            return empty
-        new_run = np.empty(n, dtype=bool)
-        new_run[0] = True
-        new_run[1:] = sh[1:] != sh[:-1]
-        starts = np.flatnonzero(new_run)
-        lens = np.diff(np.append(starts, n))
-        out_a = []
-        out_b = []
-        for ri in np.flatnonzero(lens >= 2):
-            s0, ln = starts[ri], lens[ri]
-            ids, sz, rk = (doc[s0:s0 + ln], nsh[s0:s0 + ln],
-                           rnk[s0:s0 + ln])
-            uniq, first = np.unique(ids, return_index=True)
-            if len(uniq) < 2:
-                continue
-            sz, rk = sz[first], rk[first]
-            i, j = np.triu_indices(len(uniq), 1)
+    # ---- sparse regime: shingle-keyed candidates + shared verify ----
+    def prefix_pairs(t: pa.Table) -> pa.Table:
+        doc, sz, rk = _np(t, "doc_id"), _np(t, "nsh"), _np(t, "rnk")
+
+        def keep(i, j):
             # size-ratio filter: J >= t requires min(s)/max(s) >= t
-            ok = np.minimum(sz[i], sz[j]) \
-                >= jaccard_threshold * np.maximum(sz[i], sz[j])
+            ok = (doc[i] != doc[j]) & (np.minimum(sz[i], sz[j])
+                                       >= jaccard_threshold
+                                       * np.maximum(sz[i], sz[j]))
             # PPJoin positional filter: tokens at global-order rank
             # >= rk are the only ones that can still intersect, so
             # I <= min(s - rk) — and J >= t needs
@@ -898,28 +798,17 @@ def ngram_jaccard_pairs(docs_ds, jaccard_threshold: float = 0.8,
             # partition preserves completeness.
             alpha = (jaccard_threshold / (1.0 + jaccard_threshold)) \
                 * (sz[i] + sz[j])
-            ok &= np.minimum(sz[i] - rk[i], sz[j] - rk[j]) \
-                >= alpha - 1e-9
-            out_a.append(uniq[i[ok]])
-            out_b.append(uniq[j[ok]])
-        if not out_a:
-            return empty
-        a = np.concatenate(out_a)
-        b = np.concatenate(out_b)
-        a, b = _dedupe_pairs(a, b)
-        return pa.table({"doc_a": pa.array(a),
-                         "doc_b": pa.array(b)})
+            return ok & (np.minimum(sz[i] - rk[i], sz[j] - rk[j])
+                         >= alpha - 1e-9)
 
-    pairs = prefix.groupby("__part").map_groups(part_pairs,
-                                                batch_format="pyarrow")
-    pairs = pairs.map_batches(
-        lambda t: t.append_column("one", pa.array(
-            np.ones(len(t), dtype=np.int64))),
-        batch_format="pyarrow")
-    pairs = hash_shuffle_aggregate(pairs, ["doc_a", "doc_b"],
-                                   [("one", "min")], num_buckets=16)
-    pairs = pairs.drop_columns(["one"]).materialize()
-    return _verify_pairs(pairs, lambda: sigs, jaccard_threshold)
+        i, j = _run_pairs(*key_spans(_np(t, "shingle")), keep)
+        a, b = _dedupe_pairs(doc[i], doc[j])
+        return pa.table({"doc_a": pa.array(a), "doc_b": pa.array(b)})
+
+    pairs = keyed_apply(prefix, "shingle", prefix_pairs, num_parts,
+                        sort_by=("doc_id",))
+    return _verify_pairs(_distinct_pairs(pairs), lambda: sigs,
+                         jaccard_threshold)
 
 
 def _jaccard_texts(a: str, b: str) -> float:
@@ -997,80 +886,39 @@ def simhash_near_pairs(docs_ds, max_hamming: int = 3):
     grouped aggregate, not on the driver."""
     from proj_ray.stages.agg import hash_shuffle_aggregate
     from proj_ray.stages.hashing import popcount64
+    from proj_ray.stages.partitioning import (derive_num_partitions,
+                                              key_spans, keyed_apply)
 
     sh = docs_ds.map_batches(simhash64_batch, batch_format="pyarrow")
 
     def explode(t: pa.Table) -> pa.Table:
-        doc = t.column("doc_id").to_numpy(zero_copy_only=False)
-        h = t.column("simhash").to_numpy(zero_copy_only=False) \
-            .astype(np.uint64)
-        n = len(doc)
-        chunk = np.repeat(np.arange(4, dtype=np.int64), n)
-        key = np.concatenate([
+        doc = _np(t, "doc_id")
+        h = _np(t, "simhash").astype(np.uint64)
+        # bucket = chunk << 16 | that chunk's 16 bits
+        bucket = np.concatenate([
             ((h >> np.uint64(16 * c)) & np.uint64(0xFFFF)).astype(np.int64)
-            for c in range(4)])
-        return pa.table({"chunk": pa.array(chunk), "key": pa.array(key),
+            | (c << 16) for c in range(4)])
+        return pa.table({"bucket": pa.array(bucket),
                          "doc_id": pa.array(np.tile(doc, 4)),
                          "sh": pa.array(np.tile(h, 4))})
 
-    # (chunk, key) buckets number in the tens of thousands; shuffle into
-    # coarse size-derived partitions and expand pairs vectorized per
-    # equal-key run (same shape as the MinHash path — per-group pandas
+    # (chunk, key) buckets number in the tens of thousands; exchange
+    # into coarse size-derived partitions and expand pairs vectorized
+    # per bucket run (same shape as the MinHash path — per-bucket call
     # overhead would dominate otherwise)
-    from proj_ray.stages.partitioning import derive_num_partitions
+    def bucket_pairs(t: pa.Table) -> pa.Table:
+        doc, hh = _np(t, "doc_id"), _np(t, "sh").astype(np.uint64)
+        i, j = _run_pairs(
+            *key_spans(_np(t, "bucket")),
+            lambda i, j: (doc[i] != doc[j])
+            & (popcount64(hh[i] ^ hh[j]) <= max_hamming))
+        return pa.table({"doc_a": pa.array(doc[i]), "doc_b": pa.array(doc[j]),
+                         "hamming": pa.array(popcount64(hh[i] ^ hh[j]))})
 
-    num_parts = derive_num_partitions(docs_ds, default=32)
-
-    def add_part(t: pa.Table) -> pa.Table:
-        k = t.column("key").to_numpy(zero_copy_only=False).astype(np.uint64)
-        c = t.column("chunk").to_numpy(zero_copy_only=False) \
-            .astype(np.uint64)
-        part = (((k + np.uint64(1)) * _MIX + c) % np.uint64(num_parts)) \
-            .astype(np.int64)
-        return t.append_column("__part", pa.array(part))
-
-    def part_pairs(t: pa.Table) -> pa.Table:
-        chunk = t.column("chunk").to_numpy(zero_copy_only=False)
-        key = t.column("key").to_numpy(zero_copy_only=False)
-        doc = t.column("doc_id").to_numpy(zero_copy_only=False)
-        hh = t.column("sh").to_numpy(zero_copy_only=False).astype(np.uint64)
-        order = np.lexsort((doc, key, chunk))
-        chunk, key, doc, hh = (chunk[order], key[order], doc[order],
-                               hh[order])
-        n = len(doc)
-        empty = pa.table({"doc_a": pa.array([], type=pa.int64()),
-                          "doc_b": pa.array([], type=pa.int64()),
-                          "hamming": pa.array([], type=pa.int64())})
-        if n < 2:
-            return empty
-        new_run = np.empty(n, dtype=bool)
-        new_run[0] = True
-        new_run[1:] = (chunk[1:] != chunk[:-1]) | (key[1:] != key[:-1])
-        starts = np.flatnonzero(new_run)
-        lens = np.diff(np.append(starts, n))
-        out = []
-        for ri in np.flatnonzero(lens >= 2):
-            s, ln = starts[ri], lens[ri]
-            ids, hv = doc[s:s + ln], hh[s:s + ln]
-            i, j = np.triu_indices(ln, 1)
-            ham = popcount64(hv[i] ^ hv[j])
-            m = (ham <= max_hamming) & (ids[i] != ids[j])
-            if m.any():
-                out.append((ids[i][m], ids[j][m], ham[m]))
-        if not out:
-            return empty
-        a = np.concatenate([o[0] for o in out])
-        b = np.concatenate([o[1] for o in out])
-        hm = np.concatenate([o[2] for o in out])
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        return pa.table({"doc_a": pa.array(lo), "doc_b": pa.array(hi),
-                         "hamming": pa.array(hm)})
-
-    res = (sh.map_batches(explode, batch_format="pyarrow")
-           .map_batches(add_part, batch_format="pyarrow")
-           .groupby("__part").map_groups(part_pairs,
-                                         batch_format="pyarrow"))
+    res = keyed_apply(sh.map_batches(explode, batch_format="pyarrow"),
+                      "bucket", bucket_pairs,
+                      derive_num_partitions(docs_ds, default=32),
+                      sort_by=("doc_id",))
     res = hash_shuffle_aggregate(res, ["doc_a", "doc_b"],
                                  [("hamming", "min")], num_buckets=16)
     df = res.to_pandas()
@@ -1108,95 +956,66 @@ def _hyperplanes(dim: int, n_bands: int, band_bits: int,
     return planes
 
 
-def embedding_near_dup(emb_ds, threshold: float = 0.95, seed: int = 5,
-                       num_parts: int | None = None):
+def embedding_near_dup(emb_ds, threshold: float = 0.95, seed: int = 5):
     """Cosine near-duplicate pairs via hyperplane-LSH bucketing.
 
-    Scale shape: vectors are EXPLODED to (band, key) bucket rows (a
-    hash shuffle — ~n_bands x the vector payload, each bucket holding
-    only its own vectors), the tens of thousands of tiny buckets are
-    shuffled into `num_parts` COARSE partitions (one pandas group per
-    bucket would pay per-group overhead — the r1 MinHash lesson), exact
-    cosine runs per equal-(band,key) run inside each partition, and a
-    final small aggregate dedupes pairs found by several bands.  No
-    whole-corpus broadcast or driver materialization; recall at the
-    threshold boundary is ~99% by construction (auto_lsh_params)."""
+    Scale shape: vectors are EXPLODED to one row per (band, key) bucket
+    (~n_bands x the vector payload), an exchange on the bucket gathers
+    the tens of thousands of tiny buckets into COARSE size-derived
+    partitions (one kernel call per bucket would pay per-call overhead
+    — the r1 MinHash lesson), exact cosine runs per bucket run inside
+    each partition, and a final small aggregate dedupes pairs found by
+    several bands.  No whole-corpus broadcast or driver
+    materialization; recall at the threshold boundary is ~99% by
+    construction (auto_lsh_params)."""
     from proj_ray.stages.agg import hash_shuffle_aggregate
-    from proj_ray.stages.partitioning import derive_num_partitions
+    from proj_ray.stages.partitioning import (derive_num_partitions,
+                                              key_spans, keyed_apply)
 
-    if num_parts is None:
-        num_parts = derive_num_partitions(emb_ds, default=32)
     n_bands, band_bits = auto_lsh_params(threshold)
 
     def band_rows(batch: pa.Table) -> pa.Table:
         emb_col = batch.column("embedding")
-        if isinstance(emb_col, pa.ChunkedArray):
-            emb_col = emb_col.combine_chunks()
         emb = _list_matrix(emb_col)
         planes = _hyperplanes(emb.shape[1], n_bands, band_bits, seed)
         bits = (emb @ planes) >= 0  # (n, n_bands*band_bits)
         n = len(emb)
         weights = (1 << np.arange(band_bits, dtype=np.int64))
         keys = bits.reshape(n, n_bands, band_bits) @ weights
-        band = np.repeat(np.arange(n_bands, dtype=np.int64), n)
-        key = keys.T.reshape(-1)
-        part = (((key.astype(np.uint64) + np.uint64(1)) * _MIX
-                 + band.astype(np.uint64))
-                % np.uint64(num_parts)).astype(np.int64)
+        # bucket = band << band_bits | the band's key
+        bucket = keys.T.reshape(-1) \
+            | np.repeat(np.arange(n_bands, dtype=np.int64) << band_bits, n)
         idx = np.tile(np.arange(n, dtype=np.int64), n_bands)
         return pa.table({
-            "band": pa.array(band),
-            "key": pa.array(key),
-            "vec_id": pa.array(np.tile(
-                batch.column("vec_id").to_numpy(zero_copy_only=False),
-                n_bands)),
+            "bucket": pa.array(bucket),
+            "vec_id": pa.array(np.tile(_np(batch, "vec_id"), n_bands)),
             "embedding": emb_col.take(pa.array(idx)),
-            "__part": pa.array(part),
         })
 
-    def part_pairs(t: pa.Table) -> pa.Table:
-        empty = pa.table({"vec_a": pa.array([], type=pa.int64()),
-                          "vec_b": pa.array([], type=pa.int64()),
-                          "cosine": pa.array([], type=pa.float64())})
-        n = len(t)
-        if n < 2:
-            return empty
-        band = t.column("band").to_numpy(zero_copy_only=False)
-        key = t.column("key").to_numpy(zero_copy_only=False)
-        ids = t.column("vec_id").to_numpy(zero_copy_only=False)
-        emb_col = t.column("embedding")
-        if isinstance(emb_col, pa.ChunkedArray):
-            emb_col = emb_col.combine_chunks()
-        mat = _list_matrix(emb_col).astype(np.float64)
-        order = np.lexsort((ids, key, band))
-        band, key, ids = band[order], key[order], ids[order]
-        mat = mat[order]
-        mat /= np.linalg.norm(mat, axis=1, keepdims=True)  # once per part
-        new_run = np.empty(n, dtype=bool)
-        new_run[0] = True
-        new_run[1:] = (band[1:] != band[:-1]) | (key[1:] != key[:-1])
-        starts = np.flatnonzero(new_run)
-        lens = np.diff(np.append(starts, n))
-        out_a, out_b, out_c = [], [], []
-        for ri in np.flatnonzero(lens >= 2):
-            s, ln = starts[ri], lens[ri]
+    def bucket_pairs(t: pa.Table) -> pa.Table:
+        ids = _np(t, "vec_id")
+        mat = _list_matrix(t.column("embedding"))
+        mat = mat / np.linalg.norm(mat, axis=1, keepdims=True)
+        starts, lens = key_spans(_np(t, "bucket"))
+        multi = lens >= 2
+        out_a = [np.empty(0, ids.dtype)]
+        out_b = [np.empty(0, ids.dtype)]
+        out_c = [np.empty(0, np.float64)]
+        for s, ln in zip(starts[multi], lens[multi]):
             rid = ids[s:s + ln]
             sims = mat[s:s + ln] @ mat[s:s + ln].T
             i, j = np.triu_indices(ln, 1)
             keep = (sims[i, j] >= threshold) & (rid[i] != rid[j])
-            if keep.any():
-                out_a.append(np.minimum(rid[i][keep], rid[j][keep]))
-                out_b.append(np.maximum(rid[i][keep], rid[j][keep]))
-                out_c.append(np.round(sims[i, j][keep], 9))
-        if not out_a:
-            return empty
+            out_a.append(np.minimum(rid[i][keep], rid[j][keep]))
+            out_b.append(np.maximum(rid[i][keep], rid[j][keep]))
+            out_c.append(np.round(sims[i, j][keep], 9))
         return pa.table({"vec_a": pa.array(np.concatenate(out_a)),
                          "vec_b": pa.array(np.concatenate(out_b)),
                          "cosine": pa.array(np.concatenate(out_c))})
 
-    pairs = (emb_ds.map_batches(band_rows, batch_format="pyarrow")
-             .groupby("__part").map_groups(part_pairs,
-                                           batch_format="pyarrow"))
-    deduped = hash_shuffle_aggregate(pairs, ["vec_a", "vec_b"],
-                                     [("cosine", "max")], num_buckets=16)
-    return deduped
+    pairs = keyed_apply(emb_ds.map_batches(band_rows, batch_format="pyarrow"),
+                        "bucket", bucket_pairs,
+                        derive_num_partitions(emb_ds, default=32),
+                        sort_by=("vec_id",))
+    return hash_shuffle_aggregate(pairs, ["vec_a", "vec_b"],
+                                  [("cosine", "max")], num_buckets=16)

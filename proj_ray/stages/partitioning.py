@@ -18,7 +18,8 @@ kernel)` hash-partitions `ds` on `key` (`key_partition`) and calls
 `kernel` once per partition.  Its contract:
 - every row of a key reaches the same, single kernel call;
 - one call may hold many keys (use `key_spans` on the sorted key
-  column to find each key's rows);
+  column, or on several sorted columns for a composite key, to find
+  each key's rows);
 - the order of the output rows is unspecified.
 
 The two-input keyed exchange is `keyed_cogroup(left, right, key,
@@ -143,15 +144,17 @@ def key_partition(col, n: int) -> np.ndarray:
     return (h % np.uint64(n)).astype(np.int64)
 
 
-def key_spans(keys: np.ndarray):
-    """(start index, length) of each run of equal values in a sorted
-    key array."""
-    n = len(keys)
+def key_spans(*keys: np.ndarray):
+    """(start index, length) of each run of equal values in sorted,
+    equal-length key arrays; a run breaks where any of them changes."""
+    n = len(keys[0])
     if n == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     first = np.empty(n, dtype=bool)
     first[0] = True
-    first[1:] = keys[1:] != keys[:-1]
+    first[1:] = keys[0][1:] != keys[0][:-1]
+    for k in keys[1:]:
+        first[1:] |= k[1:] != k[:-1]
     starts = np.flatnonzero(first)
     return starts, np.diff(np.append(starts, n))
 

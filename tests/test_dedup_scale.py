@@ -1,8 +1,17 @@
 """Vectorized dedup/ANN kernels vs brute-force ground truth.
 
 Covers the round-2 scale rewrites: vectorized hashing kernels,
-shuffle-join MinHash verification, LSH-bucketed embedding near-dup,
-and centroid-partitioned IVF (streaming and indexed agree)."""
+both MinHash verify paths (broadcast and the doc_id-keyed exchanges,
+the latter also on a 1-CPU cluster), every regime of the n-gram
+Jaccard join, LSH-bucketed embedding near-dup, and
+centroid-partitioned IVF (streaming and indexed agree)."""
+
+import functools
+import json
+import os
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pyarrow as pa
@@ -10,6 +19,25 @@ import pyarrow.parquet as pq
 import pytest
 
 SF = "/root/testdata/sf0.001"
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@functools.lru_cache(maxsize=None)
+def _truth(threshold: float) -> dict:
+    """Brute force: {(doc_a, doc_b): jaccard} of every pair of SF
+    documents with `_jaccard_texts` >= threshold."""
+    from proj_ray.stages.dedup import _jaccard_texts
+
+    t = pq.read_table(f"{SF}/documents.parquet")
+    ids = t["doc_id"].to_pylist()
+    txt = t["text"].to_pylist()
+    truth = {}
+    for i in range(len(ids)):
+        for j in range(i + 1, len(ids)):
+            jac = _jaccard_texts(txt[i], txt[j])
+            if jac >= threshold:
+                truth[tuple(sorted((ids[i], ids[j])))] = jac
+    return truth
 
 
 def test_hashing_kernels_match_scalar():
@@ -86,24 +114,37 @@ def test_simhash_batch_matches_scalar():
     assert out.column("simhash").to_pylist() == [scalar(t) for t in texts]
 
 
+def test_run_pairs_matches_triu(monkeypatch):
+    """`_run_pairs` gives every within-run pair in per-run triu order,
+    filtered by `keep`, whatever the pair chunk size."""
+    import proj_ray.stages.dedup as dd
+    from proj_ray.stages.partitioning import key_spans
+
+    starts, lens = key_spans(np.repeat(np.arange(6), [1, 4, 2, 1, 5, 3]))
+    want = [(s + i, s + j) for s, n in zip(starts, lens)
+            for i, j in zip(*np.triu_indices(n, 1))]
+    for chunk in (1, 3, 1 << 20):
+        monkeypatch.setattr(dd, "_PAIR_CHUNK", chunk)
+        i, j = dd._run_pairs(starts, lens,
+                             lambda i, j: np.ones(len(i), dtype=bool))
+        assert list(zip(i, j)) == want
+        i, j = dd._run_pairs(starts, lens, lambda i, j: (i + j) % 2 == 0)
+        assert list(zip(i, j)) == [p for p in want if sum(p) % 2 == 0]
+    i, j = dd._run_pairs(*key_spans(np.array([], dtype=np.int64)),
+                         lambda i, j: i < j)
+    assert len(i) == 0 and len(j) == 0
+
+
 def test_minhash_pairs_match_bruteforce(ray_session):
     import ray.data as rd
 
-    from proj_ray.stages.dedup import _jaccard_texts, minhash_lsh_pairs
+    from proj_ray.stages.dedup import minhash_lsh_pairs
 
     docs = rd.read_parquet(f"{SF}/documents.parquet",
                            columns=["doc_id", "text"])
     got = minhash_lsh_pairs(docs, jaccard_threshold=0.7)
     got_pairs = set(zip(got["doc_a"], got["doc_b"]))
-
-    t = pq.read_table(f"{SF}/documents.parquet")
-    ids = t["doc_id"].to_pylist()
-    txt = t["text"].to_pylist()
-    truth = set()
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            if _jaccard_texts(txt[i], txt[j]) >= 0.7:
-                truth.add(tuple(sorted((ids[i], ids[j]))))
+    truth = set(_truth(0.7))
     # precision is exact by construction (verified); recall should be
     # total on this corpus (near-dup jaccards are far above threshold)
     assert got_pairs == truth
@@ -224,21 +265,12 @@ def test_ngram_jaccard_pairs_complete(ray_session):
     miss probability), with exact unrounded jaccard values."""
     import ray.data as rd
 
-    from proj_ray.stages.dedup import _jaccard_texts, ngram_jaccard_pairs
+    from proj_ray.stages.dedup import ngram_jaccard_pairs
 
     docs = rd.read_parquet(f"{SF}/documents.parquet",
                            columns=["doc_id", "text"])
     got = ngram_jaccard_pairs(docs, jaccard_threshold=0.8)
-
-    t = pq.read_table(f"{SF}/documents.parquet")
-    ids = t["doc_id"].to_pylist()
-    txt = t["text"].to_pylist()
-    truth = {}
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            jac = _jaccard_texts(txt[i], txt[j])
-            if jac >= 0.8:
-                truth[tuple(sorted((ids[i], ids[j])))] = jac
+    truth = _truth(0.8)
     got_pairs = {(a, b): j for a, b, j in
                  zip(got["doc_a"], got["doc_b"], got["jaccard"])}
     assert set(got_pairs) == set(truth)
@@ -324,29 +356,106 @@ def test_minhash_recall_vs_banding_bound(ray_session):
 
 def test_verify_pairs_shuffle_path_partitions_exceed_pairs(
         ray_session, monkeypatch):
-    """The r2 driver crash: Dataset.join with more hash partitions than
-    pair rows -> empty Acero partition -> ArrowInvalid.  Force the
-    shuffle-join fallback on a tiny pair stream and require it to
-    survive num_partitions > n_pairs."""
+    """The r2 driver crash: a verify exchange with more hash partitions
+    than pair rows left partitions empty (then an ArrowInvalid in
+    Dataset.join).  Force the exchange fallback on a tiny pair stream
+    (32 partitions or more) and require the brute-force pair set."""
     import ray.data as rd
 
     import proj_ray.stages.dedup as dd
 
     monkeypatch.setattr(dd, "_BROADCAST_PAIR_LIMIT", 0)  # force shuffle
-    monkeypatch.setattr(dd, "_join_partitions", lambda: 16)
     docs = rd.read_parquet(f"{SF}/documents.parquet",
                            columns=["doc_id", "text"])
     got = dd.minhash_lsh_pairs(docs, jaccard_threshold=0.7)
     got_pairs = set(zip(got["doc_a"], got["doc_b"]))
+    assert got_pairs == set(_truth(0.7))
 
-    t = pq.read_table(f"{SF}/documents.parquet")
-    ids, txt = t["doc_id"].to_pylist(), t["text"].to_pylist()
-    truth = set()
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            if dd._jaccard_texts(txt[i], txt[j]) >= 0.7:
-                truth.add(tuple(sorted((ids[i], ids[j]))))
-    assert got_pairs == truth
+
+_ONE_CPU_SHUFFLE_VERIFY = """
+import json
+
+import ray
+import ray.data as rd
+
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+import proj_ray.stages.dedup as dd
+
+dd._BROADCAST_PAIR_LIMIT = 0
+docs = rd.read_parquet({path!r}, columns=["doc_id", "text"])
+got = dd.minhash_lsh_pairs(docs, jaccard_threshold=0.8)
+print(json.dumps([[int(a), int(b)]
+                  for a, b in zip(got["doc_a"], got["doc_b"])]))
+"""
+
+
+def test_verify_pairs_shuffle_path_one_cpu():
+    """The forced exchange verify on a 1-CPU cluster of its own must
+    finish and return the brute-force pair set.  A verify whose
+    exchange parks actors on CPU slots (the Dataset.join it replaced)
+    hangs there: its actors wait for a slot the upstream needs."""
+    code = _ONE_CPU_SHUFFLE_VERIFY.format(
+        path=f"{SF}/documents.parquet")
+    proc = subprocess.Popen([sys.executable, "-c", code], cwd=ROOT,
+                            stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("forced exchange verify did not finish in 120 s "
+                    "on 1 CPU")
+    assert proc.returncode == 0, err[-2000:]
+    got = {tuple(p) for p in json.loads(out.strip().splitlines()[-1])}
+    truth = set(_truth(0.8))
+    assert len(truth) == 28
+    assert got == truth
+
+
+# the gate overrides that pin each regime of ngram_jaccard_pairs
+_NGRAM_REGIMES = {
+    "dense": {},
+    "broadcast_sparse": {"_DENSE_VOCAB_MAX": 0},
+    "shuffled": {"_BROADCAST_DF_MAX": 1},
+}
+
+
+@pytest.mark.parametrize("regime", list(_NGRAM_REGIMES))
+def test_ngram_jaccard_regimes_identical(ray_session, monkeypatch,
+                                         regime):
+    """Each regime of the set-similarity join (dense bitset scan;
+    prefix filter over a broadcast df table; prefix filter over df
+    resolved in keyed exchanges) returns every brute-force pair with
+    its bit-identical Jaccard, over several input blocks.  The keys of
+    the exchanges that run are recorded, so an override that stops
+    pinning its regime fails the test."""
+    import ray.data as rd
+
+    import proj_ray.stages.dedup as dd
+    import proj_ray.stages.partitioning as part
+
+    for name, value in _NGRAM_REGIMES[regime].items():
+        monkeypatch.setattr(dd, name, value)
+    keys = []
+
+    def record(ds, key, *args, _apply=part.keyed_apply, **kwargs):
+        keys.append(key)
+        return _apply(ds, key, *args, **kwargs)
+
+    monkeypatch.setattr(part, "keyed_apply", record)
+    docs = rd.read_parquet(f"{SF}/documents.parquet",
+                           columns=["doc_id", "text"]).repartition(3)
+    got = dd.ngram_jaccard_pairs(docs, jaccard_threshold=0.8)
+    # prefix candidates meet on shingle; shuffled df ranks on doc_id
+    assert ("shingle" in keys) == (regime != "dense")
+    assert ("doc_id" in keys) == (regime == "shuffled")
+    truth = _truth(0.8)
+    assert len(truth) == 28
+    assert dict(zip(zip(got["doc_a"], got["doc_b"]), got["jaccard"])) \
+        == truth
 
 
 def test_empty_batch_schema_stability():

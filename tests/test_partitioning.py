@@ -63,6 +63,14 @@ def test_key_spans():
     assert starts.tolist() == [0, 2, 3] and counts.tolist() == [2, 1, 3]
     starts, counts = key_spans(np.array([], dtype=np.int64))
     assert len(starts) == 0 and len(counts) == 0
+    # several arrays: a run breaks where any of them changes
+    starts, counts = key_spans(np.array([3, 3, 5, 7, 7, 7]),
+                               np.array([1, 1, 1, 0, 2, 2]))
+    assert starts.tolist() == [0, 2, 3, 4] \
+        and counts.tolist() == [2, 1, 1, 2]
+    starts, counts = key_spans(np.array([], dtype=np.int64),
+                               np.array([], dtype=np.uint64))
+    assert len(starts) == 0 and len(counts) == 0
 
 
 def _call_kernel():

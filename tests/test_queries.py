@@ -42,7 +42,8 @@ def _to_pandas(res):
     "span_coords", "span_sequence", "webmerc_project", "cell_assign", "tile_assign",
     "rect_join", "knn_haversine", "cart_helmert", "text_stats",
     "hgridshift_synth", "vgridshift_synth", "pip_polygons", "utm_project",
-    "exact_dedup", "events_window", "lineitem_agg",
+    "exact_dedup", "ngram_jaccard", "dedup_clusters", "near_dup_keep",
+    "events_window", "lineitem_agg",
 ])
 def test_query_matches_oracle(ray_session, con, name):
     from proj_ray.pipelines.queries import build_oracles, build_queries

@@ -254,36 +254,3 @@ def test_corpus_curation_regimes_identical(ray_session, monkeypatch):
     import pandas as pd
 
     pd.testing.assert_frame_equal(a, b)
-
-
-def test_ngram_jaccard_regimes_identical(ray_session, monkeypatch):
-    """The broadcast-df and shuffled-df regimes of the set-similarity
-    join must emit the identical pair set."""
-    import ray.data as rd
-
-    import proj_ray.stages.dedup as D
-
-    rng = np.random.default_rng(17)
-    base = ["the quick brown fox jumps over the lazy dog " * 3,
-            "pack my box with five dozen liquor jugs " * 3]
-    texts = []
-    for i in range(60):
-        b = base[i % 2]
-        texts.append(b + f" tail{rng.integers(0, 5)}")
-    t = pa.table({"doc_id": pa.array(np.arange(60, dtype=np.int64)),
-                  "text": texts})
-    ds = rd.from_arrow(t).repartition(5)
-
-    def run():
-        out = D.ngram_jaccard_pairs(ds, jaccard_threshold=0.8)
-        df = out.to_pandas() if hasattr(out, "to_pandas") else out
-        return df.sort_values(["doc_a", "doc_b"]) \
-            .reset_index(drop=True)
-
-    a = run()
-    monkeypatch.setattr(D, "_BROADCAST_DF_MAX", 1)
-    b = run()
-    assert len(a) == len(b) and len(a) > 0
-    np.testing.assert_array_equal(a["doc_a"], b["doc_a"])
-    np.testing.assert_array_equal(a["doc_b"], b["doc_b"])
-    np.testing.assert_allclose(a["jaccard"], b["jaccard"])
