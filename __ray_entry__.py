@@ -35,7 +35,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
 
 def oracle_sql() -> dict[str, str]:
-    """DuckDB oracles for every SQL-expressible query (32 of 40); the
+    """DuckDB oracles for every SQL-expressible query (88 of 103); the
     rest (iterative series, geodesics, LSH, IVF, media) are rows-only
     with their exactness pinned by tests/ (gie corpus, brute-force
     equality, published geodesic instances)."""

@@ -342,19 +342,8 @@ def resumable_corpus_curation(sf_dir: str, root: str,
                                           batch_format="pyarrow"),
                        _CURATE_SPLITS, id_col="doc_id", seed=29)
 
-    def partial(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "split": t.column("split"), "lang": t.column("lang"),
-            "n_docs": pa.array(np.ones(len(t), dtype=np.int64)),
-            "n_chars": t.column("n_chars"),
-        }).group_by(["split", "lang"]).aggregate(
-            [("n_docs", "sum"), ("n_chars", "sum")])
-        return out.rename_columns(["split", "lang", "n_docs",
-                                   "n_chars"])
-
     summary = tree_aggregate(
-        final.map_batches(partial, batch_format="pyarrow"),
-        ["split", "lang"], [("n_docs", "sum"), ("n_chars", "sum")])
+        final, ["split", "lang"], [("n_docs", "count"), ("n_chars", "sum")])
     tbl = pa.concat_tables(summary.iter_batches(batch_format="pyarrow"),
                            promote_options="default")
     return tbl, len(run_now), n_shards - len(run_now)

@@ -520,22 +520,18 @@ def _sql_tiles() -> str:
 
 
 def q_tile_histogram(sf_dir: str):
-    """Tile assembly: count per z8 tile (groupby shuffle with per-batch
-    pre-aggregation)."""
+    """Tile assembly: count per z8 tile (combine-tree count)."""
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def tiles(batch: pa.Table) -> pa.Table:
         lon = batch.column("lon").to_numpy(zero_copy_only=False)
         lat = batch.column("lat").to_numpy(zero_copy_only=False)
         tx, ty = tile_xy(lon, lat, 8)
-        tid = ty * 256 + tx
-        ids, counts = np.unique(tid, return_counts=True)
-        return pa.table({"tile": pa.array(ids),
-                         "n": pa.array(counts.astype(np.int64))})
+        return pa.table({"tile": pa.array(ty * 256 + tx)})
 
     from proj_ray.stages.agg import tree_aggregate
 
-    ds = coords_dataset(sf_dir).map_batches(partial, batch_format="pyarrow")
-    return tree_aggregate(ds, ["tile"], [("n", "sum")])
+    ds = coords_dataset(sf_dir).map_batches(tiles, batch_format="pyarrow")
+    return tree_aggregate(ds, ["tile"], [("n", "count")])
 
 
 def _sql_tile_histogram() -> str:
@@ -553,20 +549,19 @@ def q_tile_regions(sf_dir: str):
     membership/labels broadcast while edge generation and the final
     aggregate stay distributed."""
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def tile_ids(batch: pa.Table) -> pa.Table:
         lon = batch.column("lon").to_numpy(zero_copy_only=False)
         lat = batch.column("lat").to_numpy(zero_copy_only=False)
         tx, ty = tile_xy(lon, lat, 8)
-        tid = ty * 256 + tx
-        ids, counts = np.unique(tid, return_counts=True)
-        return pa.table({"tile": pa.array(ids.astype(np.int64)),
-                         "n": pa.array(counts.astype(np.int64))})
+        return pa.table({"tile": pa.array((ty * 256 + tx)
+                                          .astype(np.int64))})
 
     from proj_ray.spatial.vectorize import raster_regions
     from proj_ray.stages.agg import tree_aggregate
 
-    ds = coords_dataset(sf_dir).map_batches(partial, batch_format="pyarrow")
-    tiles = tree_aggregate(ds, ["tile"], [("n", "sum")])
+    ds = coords_dataset(sf_dir).map_batches(tile_ids,
+                                            batch_format="pyarrow")
+    tiles = tree_aggregate(ds, ["tile"], [("n", "count")])
     return raster_regions(tiles, tile_col="tile", weight_col="n",
                           width=256)
 
@@ -605,18 +600,15 @@ GROUP BY 1
 def q_cell_histogram(sf_dir: str):
     """Skew detection histogram: exact count per cell."""
 
-    def partial(batch: pa.Table) -> pa.Table:
-        cell = grid_cell(batch.column("lon").to_numpy(zero_copy_only=False),
-                         batch.column("lat").to_numpy(zero_copy_only=False),
-                         5.0)
-        ids, counts = np.unique(cell, return_counts=True)
-        return pa.table({"cell": pa.array(ids),
-                         "n": pa.array(counts.astype(np.int64))})
+    def cells(batch: pa.Table) -> pa.Table:
+        return pa.table({"cell": pa.array(grid_cell(
+            batch.column("lon").to_numpy(zero_copy_only=False),
+            batch.column("lat").to_numpy(zero_copy_only=False), 5.0))})
 
     from proj_ray.stages.agg import tree_aggregate
 
-    ds = coords_dataset(sf_dir).map_batches(partial, batch_format="pyarrow")
-    return tree_aggregate(ds, ["cell"], [("n", "sum")])
+    ds = coords_dataset(sf_dir).map_batches(cells, batch_format="pyarrow")
+    return tree_aggregate(ds, ["cell"], [("n", "count")])
 
 
 SQL_CELL_HISTOGRAM = (
@@ -1163,20 +1155,8 @@ def q_corpus_curation(sf_dir: str):
     kept = hash_split(filtered, _CURATE_SPLITS, id_col="doc_id",
                       seed=29)
 
-    def partial(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "split": t.column("split"), "lang": t.column("lang"),
-            "n_docs": pa.array(np.ones(len(t), dtype=np.int64)),
-            "n_chars": t.column("n_chars"),
-        }).group_by(["split", "lang"]).aggregate(
-            [("n_docs", "sum"), ("n_chars", "sum")])
-        return out.rename_columns(["split", "lang", "n_docs",
-                                   "n_chars"])
-
-    return tree_aggregate(kept.map_batches(partial,
-                                           batch_format="pyarrow"),
-                          ["split", "lang"],
-                          [("n_docs", "sum"), ("n_chars", "sum")])
+    return tree_aggregate(kept, ["split", "lang"],
+                          [("n_docs", "count"), ("n_chars", "sum")])
 
 
 def _sql_corpus_curation() -> str:
@@ -1339,20 +1319,18 @@ def q_events_window(sf_dir: str):
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["ts", "event_type", "value"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        # integer hour bucket as the shuffle key (cheap exact groupby);
+    def hour_rows(t: pa.Table) -> pa.Table:
+        # integer hour bucket as the group key (cheap exact groupby);
         # normalize to ns regardless of the parquet timestamp unit
-        win = (df["ts"].astype("datetime64[ns]").astype("int64")
-               // 3_600_000_000_000)
-        g = df.assign(win=win).groupby(["win", "event_type"],
-                                       as_index=False)["value"] \
-            .agg(["count", "sum"])
-        g.columns = ["win", "event_type", "n", "val_sum"]
-        return g
+        ns = t.column("ts").to_numpy(zero_copy_only=False) \
+            .astype("datetime64[ns]").view(np.int64)
+        return pa.table({"win": pa.array(ns // 3_600_000_000_000),
+                         "event_type": t.column("event_type"),
+                         "val_sum": t.column("value")})
 
     agg = tree_aggregate(
-        ds.map_batches(partial, batch_format="pandas"),
-        ["win", "event_type"], [("n", "sum"), ("val_sum", "sum")])
+        ds.map_batches(hour_rows, batch_format="pyarrow"),
+        ["win", "event_type"], [("n", "count"), ("val_sum", "sum")])
     return agg.map_batches(
         lambda df: pd.DataFrame({
             "window_start": pd.to_datetime(df["win"] * 3_600_000_000_000),
@@ -1369,6 +1347,12 @@ SELECT date_trunc('hour', ts) AS window_start, event_type,
 FROM events GROUP BY 1, 2"""
 
 
+def _revenue(t: pa.Table) -> pa.Array:
+    """l_extendedprice * (1 - l_discount), the TPC-H revenue term."""
+    return pc.multiply(t.column("l_extendedprice"),
+                       pc.subtract(pa.scalar(1.0), t.column("l_discount")))
+
+
 def q_lineitem_agg(sf_dir: str):
     """TPC-H Q1-style pricing summary (general relational capability)."""
     import ray.data as rd
@@ -1380,20 +1364,19 @@ def q_lineitem_agg(sf_dir: str):
         columns=["l_returnflag", "l_linestatus", "l_quantity",
                  "l_extendedprice", "l_discount"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.assign(revenue=df["l_extendedprice"] * (1 - df["l_discount"]))
-        g = df.groupby(["l_returnflag", "l_linestatus"], as_index=False) \
-            .agg(sum_qty=("l_quantity", "sum"),
-                 sum_price=("l_extendedprice", "sum"),
-                 revenue=("revenue", "sum"),
-                 n=("l_quantity", "count"))
-        return g
+    def rows(t: pa.Table) -> pa.Table:
+        return pa.table({
+            "l_returnflag": t.column("l_returnflag"),
+            "l_linestatus": t.column("l_linestatus"),
+            "sum_qty": t.column("l_quantity"),
+            "sum_price": t.column("l_extendedprice"),
+            "revenue": _revenue(t)})
 
     agg = tree_aggregate(
-        ds.map_batches(partial, batch_format="pandas"),
+        ds.map_batches(rows, batch_format="pyarrow"),
         ["l_returnflag", "l_linestatus"],
         [("sum_qty", "sum"), ("sum_price", "sum"), ("revenue", "sum"),
-         ("n", "sum")])
+         ("n", "count")])
     return agg.map_batches(
         lambda df: df.assign(
             sum_qty=np.round(df["sum_qty"], 4),
@@ -1707,38 +1690,16 @@ def q_track_simplify(sf_dir: str):
 
 def q_zonal_stats(sf_dir: str):
     """Zonal statistics: per-polygon point and distinct-document
-    counts over the PIP join stream — one pass: per-batch (polygon,
-    doc) dedup-counts, a pair-keyed hash shuffle finishing both the
-    dedup and the counts, then a small per-polygon combine."""
+    counts over the PIP join stream — one pass: a pair-keyed hash
+    aggregate counts the points of each (polygon, doc), then a small
+    per-polygon combine sums them and counts the pairs."""
     from proj_ray.stages.agg import hash_shuffle_aggregate, tree_aggregate
 
-    joined = q_pip_polygons(sf_dir)
-
-    def pair_partial(t: pa.Table) -> pa.Table:
-        tbl = pa.table({
-            "polygon_id": t.column("polygon_id"),
-            "doc_id": t.column("doc_id"),
-            "n": pa.array(np.ones(len(t), dtype=np.int64)),
-        })
-        out = tbl.group_by(["polygon_id", "doc_id"]) \
-            .aggregate([("n", "sum")])
-        return out.rename_columns(["polygon_id", "doc_id", "n"])
-
     pairs = hash_shuffle_aggregate(
-        joined.map_batches(pair_partial, batch_format="pyarrow"),
-        ["polygon_id", "doc_id"], [("n", "sum")], num_buckets=16)
-
-    def zonal_partial(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "polygon_id": t.column("polygon_id"),
-            "n_points": t.column("n"),
-            "n_docs": pa.array(np.ones(len(t), dtype=np.int64)),
-        })
-
-    return tree_aggregate(pairs.map_batches(zonal_partial,
-                                            batch_format="pyarrow"),
-                          ["polygon_id"],
-                          [("n_points", "sum"), ("n_docs", "sum")])
+        q_pip_polygons(sf_dir), ["polygon_id", "doc_id"],
+        [("n_points", "count")], num_buckets=16)
+    return tree_aggregate(pairs, ["polygon_id"],
+                          [("n_points", "sum"), ("n_docs", "count")])
 
 
 def _sql_zonal_stats() -> str:
@@ -1880,12 +1841,11 @@ def q_hex_histogram(sf_dir: str):
             batch.column("lon").to_numpy(zero_copy_only=False),
             batch.column("lat").to_numpy(zero_copy_only=False),
             resolution=5)
-        return pa.table({"hex_cell": pa.array(cell),
-                         "n": pa.array(np.ones(len(cell), dtype=np.int64))})
+        return pa.table({"hex_cell": pa.array(cell)})
 
     hexed = coords_dataset(sf_dir).map_batches(add_hex,
                                                batch_format="pyarrow")
-    return hash_shuffle_aggregate(hexed, ["hex_cell"], [("n", "sum")],
+    return hash_shuffle_aggregate(hexed, ["hex_cell"], [("n", "count")],
                                   num_buckets=16)
 
 
@@ -1993,18 +1953,14 @@ def q_events_resample(sf_dir: str):
     ev = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "ts", "value"])
 
-    def bounds_partial(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "user_id": t.column("user_id"),
-            "tmin": t.column("ts"), "tmax": t.column("ts"),
-        }).group_by("user_id").aggregate(
-            [("tmin", "min"), ("tmax", "max")])
-        return out.rename_columns(["user_id", "tmin", "tmax"])
+    def bounds_rows(t: pa.Table) -> pa.Table:
+        return pa.table({"user_id": t.column("user_id"),
+                         "tmin": t.column("ts"), "tmax": t.column("ts")})
 
     # materialized (one row per user): with one Ray CPU, the as-of
     # join's exchange over a union holding this exchange never finishes
     bounds = hash_shuffle_aggregate(
-        ev.map_batches(bounds_partial, batch_format="pyarrow"),
+        ev.map_batches(bounds_rows, batch_format="pyarrow"),
         ["user_id"], [("tmin", "min"), ("tmax", "max")]).materialize()
 
     HOUR = 3_600_000_000  # microseconds
@@ -2164,14 +2120,9 @@ def q_events_promo(sf_dir: str):
                          columns=["ts", "value"])
     j = interval_join(ev, windows, on="ts", start="ws", end="we")
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("promo_id", as_index=False).agg(
-            n_events=("value", "count"),
-            sum_value=("value", "sum"))
-
-    agg = tree_aggregate(j.map_batches(partial, batch_format="pandas"),
+    agg = tree_aggregate(j.rename_columns({"value": "sum_value"}),
                          ["promo_id"],
-                         [("n_events", "sum"), ("sum_value", "sum")])
+                         [("n_events", "count"), ("sum_value", "sum")])
     return agg.map_batches(
         lambda df: df.assign(n_events=df["n_events"].astype("int64"),
                              sum_value=np.round(df["sum_value"], 2)),
@@ -2212,16 +2163,9 @@ def q_events_sliding(sf_dir: str):
     fanned = assign_sliding_windows(ds, "ts", width_s=6 * 3600,
                                     hop_s=3600)
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["window_start", "event_type"],
-                       as_index=False)["value"].agg(["count", "sum"])
-        g.columns = ["window_start", "event_type", "n", "val_sum"]
-        return g
-
-    agg = tree_aggregate(fanned.map_batches(partial,
-                                            batch_format="pandas"),
+    agg = tree_aggregate(fanned.rename_columns({"value": "val_sum"}),
                          ["window_start", "event_type"],
-                         [("n", "sum"), ("val_sum", "sum")])
+                         [("n", "count"), ("val_sum", "sum")])
     return agg.map_batches(
         lambda df: df.assign(n=df["n"].astype("int64"),
                              val_sum=np.round(df["val_sum"], 6)),
@@ -2506,15 +2450,7 @@ def q_idle_customers(sf_dir: str):
     idle = semi_anti_join(cust, active, key="c_custkey",
                           right_key="o_custkey", how="anti")
 
-    def partial(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "c_nationkey": t.column("c_nationkey"),
-            "n_idle": pa.array(np.ones(len(t), dtype=np.int64)),
-        })
-
-    return tree_aggregate(idle.map_batches(partial,
-                                           batch_format="pyarrow"),
-                          ["c_nationkey"], [("n_idle", "sum")])
+    return tree_aggregate(idle, ["c_nationkey"], [("n_idle", "count")])
 
 
 SQL_IDLE_CUSTOMERS = """
@@ -2634,52 +2570,44 @@ HAVING count(*) >= 0.005 * tot.n
 def q_lineitem_rollup(sf_dir: str):
     """ROLLUP(l_returnflag, l_linestatus): subtotals + grand total.
     One corpus pass builds the finest aggregate; the coarser rollup
-    levels re-aggregate from that tiny result (sums/counts are
-    re-aggregable), so the hierarchy costs nothing extra at scale.
-    Rolled-up levels carry the 'ALL' sentinel instead of NULL."""
+    levels re-aggregate from that tiny result
+    (stages/agg.py grouping_sets_from_finest), so the hierarchy costs
+    nothing extra at scale.  Rolled-up levels carry the 'ALL' sentinel
+    instead of NULL."""
     import ray.data as rd
 
-    from proj_ray.stages.agg import tree_aggregate
+    from proj_ray.stages.agg import (grouping_sets_from_finest,
+                                     tree_aggregate)
 
     ds = rd.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_returnflag", "l_linestatus", "l_quantity",
                  "l_extendedprice", "l_discount"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.assign(
-            revenue=df["l_extendedprice"] * (1 - df["l_discount"]))
-        g = df.groupby(["l_returnflag", "l_linestatus"],
-                       as_index=False).agg(
-            sum_qty=("l_quantity", "sum"),
-            revenue=("revenue", "sum"),
-            n=("l_quantity", "count"))
-        return g
+    def rows(t: pa.Table) -> pa.Table:
+        return pa.table({
+            "l_returnflag": t.column("l_returnflag"),
+            "l_linestatus": t.column("l_linestatus"),
+            "sum_qty": t.column("l_quantity"),
+            "revenue": _revenue(t)})
 
+    keys = ["l_returnflag", "l_linestatus"]
     finest = tree_aggregate(
-        ds.map_batches(partial, batch_format="pandas"),
-        ["l_returnflag", "l_linestatus"],
-        [("sum_qty", "sum"), ("revenue", "sum"), ("n", "sum")])
+        ds.map_batches(rows, batch_format="pyarrow"), keys,
+        [("sum_qty", "sum"), ("revenue", "sum"), ("n", "count")])
+    gs = grouping_sets_from_finest(
+        finest, keys, [keys, keys[:1], []], ["sum_qty", "revenue", "n"])
 
-    def rollup(df: pd.DataFrame) -> pd.DataFrame:
-        vals = ["sum_qty", "revenue", "n"]
-        lvl2 = df.copy()
-        lvl1 = df.groupby("l_returnflag", as_index=False)[vals].sum()
-        lvl1["l_linestatus"] = "ALL"
-        lvl0 = df[vals].sum().to_frame().T
-        lvl0["l_returnflag"] = "ALL"
-        lvl0["l_linestatus"] = "ALL"
-        out = pd.concat([lvl2, lvl1, lvl0], ignore_index=True)
+    def fin(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
-            "l_returnflag": out["l_returnflag"],
-            "l_linestatus": out["l_linestatus"],
-            "sum_qty": np.round(out["sum_qty"], 4),
-            "revenue": np.round(out["revenue"], 4),
-            "n": out["n"].astype("int64"),
+            "l_returnflag": df["l_returnflag"],
+            "l_linestatus": df["l_linestatus"],
+            "sum_qty": np.round(df["sum_qty"], 4),
+            "revenue": np.round(df["revenue"], 4),
+            "n": df["n"].astype("int64"),
         })
 
-    return finest.map_batches(rollup, batch_format="pandas",
-                              batch_size=None)
+    return gs.map_batches(fin, batch_format="pandas")
 
 
 SQL_LINEITEM_ROLLUP = """
@@ -2707,20 +2635,10 @@ def q_orders_gsets(sf_dir: str):
         f"{sf_dir}/orders.parquet",
         columns=["o_orderstatus", "o_orderpriority", "o_totalprice"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "o_orderstatus": t.column("o_orderstatus"),
-            "o_orderpriority": t.column("o_orderpriority"),
-            "total": t.column("o_totalprice"),
-        }).group_by(["o_orderstatus", "o_orderpriority"]).aggregate(
-            [("total", "sum"), ("total", "count")])
-        return out.rename_columns(["o_orderstatus", "o_orderpriority",
-                                   "total", "n_orders"])
-
     finest = tree_aggregate(
-        ds.map_batches(partial, batch_format="pyarrow"),
+        ds.rename_columns({"o_totalprice": "total"}),
         ["o_orderstatus", "o_orderpriority"],
-        [("total", "sum"), ("n_orders", "sum")])
+        [("total", "sum"), ("n_orders", "count")])
     gs = grouping_sets_from_finest(
         finest, ["o_orderstatus", "o_orderpriority"],
         [("o_orderstatus",), ("o_orderpriority",)],
@@ -2751,54 +2669,34 @@ def q_lineitem_cube(sf_dir: str):
     """GROUP BY CUBE(l_returnflag, l_linestatus): all four grouping
     sets.  Like the ROLLUP twin, one corpus pass builds the finest
     aggregate and every other grouping set re-aggregates from that
-    tiny result (sums/counts are re-aggregable) — the cube costs
-    nothing extra at scale.  'ALL' sentinel marks rolled-up levels."""
+    tiny result (stages/agg.py grouping_sets_from_finest) — the cube
+    costs nothing extra at scale.  'ALL' sentinel marks rolled-up
+    levels."""
     import ray.data as rd
 
-    from proj_ray.stages.agg import tree_aggregate
+    from proj_ray.stages.agg import (grouping_sets_from_finest,
+                                     tree_aggregate)
 
     ds = rd.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_returnflag", "l_linestatus", "l_quantity"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "l_returnflag": t.column("l_returnflag"),
-            "l_linestatus": t.column("l_linestatus"),
-            "sum_qty": t.column("l_quantity"),
-        }).group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("sum_qty", "sum"), ("sum_qty", "count")])
-        return out.rename_columns(["l_returnflag", "l_linestatus",
-                                   "sum_qty", "n"])
-
+    keys = ["l_returnflag", "l_linestatus"]
     finest = tree_aggregate(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["l_returnflag", "l_linestatus"],
-        [("sum_qty", "sum"), ("n", "sum")])
+        ds.rename_columns({"l_quantity": "sum_qty"}), keys,
+        [("sum_qty", "sum"), ("n", "count")])
+    gs = grouping_sets_from_finest(
+        finest, keys, [keys, keys[:1], keys[1:], []], ["sum_qty", "n"])
 
-    def cube(df: pd.DataFrame) -> pd.DataFrame:
-        vals = ["sum_qty", "n"]
-        sets = [df.copy()]
-        g1 = df.groupby("l_returnflag", as_index=False)[vals].sum()
-        g1["l_linestatus"] = "ALL"
-        sets.append(g1)
-        g2 = df.groupby("l_linestatus", as_index=False)[vals].sum()
-        g2["l_returnflag"] = "ALL"
-        sets.append(g2)
-        g0 = df[vals].sum().to_frame().T
-        g0["l_returnflag"] = "ALL"
-        g0["l_linestatus"] = "ALL"
-        sets.append(g0)
-        out = pd.concat(sets, ignore_index=True)
+    def fin(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
-            "l_returnflag": out["l_returnflag"],
-            "l_linestatus": out["l_linestatus"],
-            "sum_qty": np.round(out["sum_qty"], 4),
-            "n": out["n"].astype("int64"),
+            "l_returnflag": df["l_returnflag"],
+            "l_linestatus": df["l_linestatus"],
+            "sum_qty": np.round(df["sum_qty"], 4),
+            "n": df["n"].astype("int64"),
         })
 
-    return finest.map_batches(cube, batch_format="pandas",
-                              batch_size=None)
+    return gs.map_batches(fin, batch_format="pandas")
 
 
 SQL_LINEITEM_CUBE = """
@@ -2848,15 +2746,8 @@ def q_urgent_orders(sf_dir: str):
     j = semi_anti_join(pruned, keys, key="o_orderkey",
                        right_key="l_orderkey", how="semi")
 
-    def partial(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "o_orderpriority": t.column("o_orderpriority"),
-            "n_orders": pa.array(np.ones(len(t), dtype=np.int64)),
-        })
-
-    return tree_aggregate(j.map_batches(partial,
-                                        batch_format="pyarrow"),
-                          ["o_orderpriority"], [("n_orders", "sum")])
+    return tree_aggregate(j, ["o_orderpriority"],
+                          [("n_orders", "count")])
 
 
 SQL_URGENT_ORDERS = """
@@ -2937,32 +2828,12 @@ def q_orders_quartiles(sf_dir: str):
     ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
                          columns=["o_orderkey", "o_orderpriority",
                                   "o_totalprice"])
-    # string keys get an int surrogate for the partition map — hash
-    # once per UNIQUE value (bounded domain), broadcast by inverse
-    def add_key(t: pa.Table) -> pa.Table:
-        import zlib
-
-        pr = np.asarray(t.column("o_orderpriority"))
-        uniq, inv = np.unique(pr, return_inverse=True)
-        h = np.array([zlib.crc32(str(u).encode()) for u in uniq],
-                     dtype=np.int64)[inv]
-        return t.append_column("__pk", pa.array(h))
-
-    tiled = keyed_ntile(ds.map_batches(add_key, batch_format="pyarrow"),
-                        key="__pk", order_col="o_totalprice",
-                        n_tiles=4, tiebreak="o_orderkey",
-                        out_col="quartile")
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(["o_orderpriority", "quartile"],
-                          as_index=False).agg(
-            n=("o_totalprice", "count"),
-            sum_price=("o_totalprice", "sum"))
-
-    agg = tree_aggregate(tiled.map_batches(partial,
-                                           batch_format="pandas"),
+    tiled = keyed_ntile(ds, key="o_orderpriority",
+                        order_col="o_totalprice", n_tiles=4,
+                        tiebreak="o_orderkey", out_col="quartile")
+    agg = tree_aggregate(tiled.rename_columns({"o_totalprice": "sum_price"}),
                          ["o_orderpriority", "quartile"],
-                         [("n", "sum"), ("sum_price", "sum")])
+                         [("n", "count"), ("sum_price", "sum")])
     return agg.map_batches(
         lambda df: df.assign(n=df["n"].astype("int64"),
                              sum_price=np.round(df["sum_price"], 2)),
@@ -2985,9 +2856,9 @@ FROM t GROUP BY 1, 2
 def q_events_pivot(sf_dir: str):
     """Pivot to wide: one row per epoch day, one count column per
     event type.  The bounded column domain makes this a plain
-    conditional partial aggregation — each batch emits at most
-    days x 1 rows with all 5 counters, then the usual combine tree;
-    no per-type passes, no shuffle of the raw stream."""
+    conditional aggregation — each event becomes one 0/1 indicator
+    per type, summed per day by the combine tree; no per-type passes,
+    no shuffle of the raw stream."""
     import ray.data as rd
 
     from proj_ray.stages.agg import tree_aggregate
@@ -2995,20 +2866,16 @@ def q_events_pivot(sf_dir: str):
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["ts", "event_type"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def indicators(t: pa.Table) -> pa.Table:
         us = t.column("ts").to_numpy(zero_copy_only=False) \
             .astype("datetime64[us]").view(np.int64)
-        day = us // 86_400_000_000
-        et = np.asarray(t.column("event_type"))
-        uniq, inv = np.unique(day, return_inverse=True)
-        cols = {"day": pa.array(uniq.astype(np.int64))}
+        cols = {"day": pa.array(us // 86_400_000_000)}
         for name in _EVENT_TYPES:
-            cnt = np.bincount(inv, weights=(et == name),
-                              minlength=len(uniq))
-            cols[f"n_{name}"] = pa.array(cnt.astype(np.int64))
+            cols[f"n_{name}"] = pc.cast(
+                pc.equal(t.column("event_type"), name), pa.int64())
         return pa.table(cols)
 
-    return tree_aggregate(ds.map_batches(partial,
+    return tree_aggregate(ds.map_batches(indicators,
                                          batch_format="pyarrow"),
                           ["day"],
                           [(f"n_{n}", "sum") for n in _EVENT_TYPES])
@@ -3206,15 +3073,8 @@ def q_customer_region(sf_dir: str):
     j = broadcast_join(j, region, key="n_regionkey",
                        right_key="r_regionkey")
 
-    def partial(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "r_name": t.column("r_name"),
-            "n_customers": pa.array(np.ones(len(t), dtype=np.int64)),
-            "sum_acctbal": t.column("c_acctbal"),
-        })
-
-    agg = tree_aggregate(j.map_batches(partial, batch_format="pyarrow"),
-                         ["r_name"], [("n_customers", "sum"),
+    agg = tree_aggregate(j.rename_columns({"c_acctbal": "sum_acctbal"}),
+                         ["r_name"], [("n_customers", "count"),
                                       ("sum_acctbal", "sum")])
 
     def fin(t: pa.Table) -> pa.Table:
@@ -3250,34 +3110,18 @@ def q_order_revenue(sf_dir: str):
                              columns=["o_orderkey", "o_orderpriority"])
 
     def li_partial(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
+        from proj_ray.stages.agg import combine_block
 
-        rev = pc.multiply(t.column("l_extendedprice"),
-                          pc.subtract(pa.scalar(1.0),
-                                      t.column("l_discount")))
-        tbl = pa.table({"l_orderkey": t.column("l_orderkey"),
-                        "revenue": rev})
-        out = tbl.group_by("l_orderkey").aggregate(
-            [("revenue", "sum"), ("revenue", "count")])
-        return out.rename_columns(["l_orderkey", "revenue", "n_items"])
+        return combine_block(
+            pa.table({"l_orderkey": t.column("l_orderkey"),
+                      "revenue": _revenue(t)}),
+            ["l_orderkey"], [("revenue", "sum"), ("n_items", "count")])
 
     j = copartition_agg_join(
         orders, li.map_batches(li_partial, batch_format="pyarrow"),
         on="o_orderkey", right_on="l_orderkey",
         agg_cols=("revenue", "n_items"), how="inner")
-
-    def partial(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "o_orderpriority": t.column("o_orderpriority"),
-            "revenue": t.column("revenue"),
-            "n_items": t.column("n_items"),
-        }).group_by("o_orderpriority").aggregate(
-            [("revenue", "sum"), ("n_items", "sum")])
-        return out.rename_columns(["o_orderpriority", "revenue",
-                                   "n_items"])
-
-    agg = tree_aggregate(j.map_batches(partial, batch_format="pyarrow"),
-                         ["o_orderpriority"],
+    agg = tree_aggregate(j, ["o_orderpriority"],
                          [("revenue", "sum"), ("n_items", "sum")])
     # 4 dp: per-item revenue is an exact 4-dp decimal, so the rounded
     # sum is order-independent (2 dp can land on a boundary)
@@ -3335,17 +3179,14 @@ def q_brand_supplier_revenue(sf_dir: str):
                                  ["s_suppkey", "s_nationkey"]),
                        key="l_suppkey", right_key="s_suppkey")
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.assign(
-            revenue=df["l_extendedprice"] * (1 - df["l_discount"]))
-        return df.groupby(["p_brand", "s_nationkey"],
-                          as_index=False).agg(
-            revenue=("revenue", "sum"),
-            n_items=("revenue", "count"))
+    def rows(t: pa.Table) -> pa.Table:
+        return pa.table({"p_brand": t.column("p_brand"),
+                         "s_nationkey": t.column("s_nationkey"),
+                         "revenue": _revenue(t)})
 
-    agg = tree_aggregate(j.map_batches(partial, batch_format="pandas"),
+    agg = tree_aggregate(j.map_batches(rows, batch_format="pyarrow"),
                          ["p_brand", "s_nationkey"],
-                         [("revenue", "sum"), ("n_items", "sum")])
+                         [("revenue", "sum"), ("n_items", "count")])
     # round at 4 decimals: per-item revenue is an exact 4-dp decimal
     # (2-dp price x 2-dp discount), so sums never sit on a rounding
     # boundary there — at 2 dp they can, and summation order flips
@@ -3452,17 +3293,17 @@ def q_lineitem_corr(sf_dir: str):
                          columns=["l_returnflag", "l_quantity",
                                   "l_extendedprice"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        x = df["l_quantity"]
-        y = df["l_extendedprice"]
-        return df.assign(n=1, sx=x, sy=y, sxx=x * x, syy=y * y,
-                         sxy=x * y) \
-            .groupby("l_returnflag", as_index=False)[
-                ["n", "sx", "sy", "sxx", "syy", "sxy"]].sum()
+    def moments(t: pa.Table) -> pa.Table:
+        x = t.column("l_quantity")
+        y = t.column("l_extendedprice")
+        return pa.table({
+            "l_returnflag": t.column("l_returnflag"), "sx": x, "sy": y,
+            "sxx": pc.multiply(x, x), "syy": pc.multiply(y, y),
+            "sxy": pc.multiply(x, y)})
 
-    agg = tree_aggregate(ds.map_batches(partial, batch_format="pandas"),
+    agg = tree_aggregate(ds.map_batches(moments, batch_format="pyarrow"),
                          ["l_returnflag"],
-                         [("n", "sum"), ("sx", "sum"), ("sy", "sum"),
+                         [("n", "count"), ("sx", "sum"), ("sy", "sum"),
                           ("sxx", "sum"), ("syy", "sum"),
                           ("sxy", "sum")])
 
@@ -3559,19 +3400,8 @@ def q_doc_split(sf_dir: str):
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["doc_id", "n_chars"])
     labeled = hash_split(ds, _SPLIT_FRACTIONS, id_col="doc_id", seed=11)
-
-    def partial(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "split": t.column("split"),
-            "n_docs": pa.array(np.ones(len(t), dtype=np.int64)),
-            "n_chars": t.column("n_chars"),
-        }).group_by("split").aggregate([("n_docs", "sum"),
-                                        ("n_chars", "sum")])
-        return out.rename_columns(["split", "n_docs", "n_chars"])
-
-    return tree_aggregate(
-        labeled.map_batches(partial, batch_format="pyarrow"),
-        ["split"], [("n_docs", "sum"), ("n_chars", "sum")])
+    return tree_aggregate(labeled, ["split"],
+                          [("n_docs", "count"), ("n_chars", "sum")])
 
 
 def _sql_doc_split() -> str:
@@ -3777,9 +3607,9 @@ def q_video_frames(sf_dir: str):
 
 def q_embedding_centroids(sf_dir: str):
     """Element-wise label centroids over the list<float> embedding
-    column: per-batch partial sums per (label, dim) — the vector
-    flattens zero-copy and reduces with one np.add.at — then a
-    bounded-key combine tree (labels x dims is a dimension table).
+    column: the vectors flatten zero-copy into (label, dim, value)
+    rows, and a bounded-key combine tree sums them per (label, dim)
+    (labels x dims is a dimension table).
     The list-column aggregate SQL twin unnests with a LATERAL index
     range."""
     import ray.data as rd
@@ -3789,29 +3619,23 @@ def q_embedding_centroids(sf_dir: str):
     emb = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
                           columns=["label", "embedding"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def elements(t: pa.Table) -> pa.Table:
         lab = t.column("label").to_numpy(zero_copy_only=False)
         e = t.column("embedding")
         if isinstance(e, pa.ChunkedArray):
             e = e.combine_chunks()
         dim = len(e[0]) if len(e) else 0
-        flat = e.flatten().to_numpy(zero_copy_only=False) \
-            .astype(np.float64).reshape(len(t), dim)
-        ulab, inv = np.unique(lab, return_inverse=True)
-        sums = np.zeros((len(ulab), dim))
-        np.add.at(sums, inv, flat)
-        cnt = np.bincount(inv, minlength=len(ulab)).astype(np.int64)
-        k = len(ulab)
         return pa.table({
-            "label": pa.array(np.repeat(ulab, dim), type=pa.int32()),
-            "dim": pa.array(np.tile(np.arange(dim, dtype=np.int64), k)),
-            "s": pa.array(sums.ravel()),
-            "n": pa.array(np.repeat(cnt, dim)),
+            "label": pa.array(np.repeat(lab, dim), type=pa.int32()),
+            "dim": pa.array(np.tile(np.arange(dim, dtype=np.int64),
+                                    len(t))),
+            "s": pc.cast(e.flatten(), pa.float64()),
         })
 
-    agg = tree_aggregate(emb.map_batches(partial, batch_format="pyarrow"),
+    agg = tree_aggregate(emb.map_batches(elements,
+                                         batch_format="pyarrow"),
                          ["label", "dim"],
-                         [("s", "sum"), ("n", "sum")])
+                         [("s", "sum"), ("n", "count")])
 
     def fin(t: pa.Table) -> pa.Table:
         s = t.column("s").to_numpy(zero_copy_only=False)
@@ -4085,15 +3909,8 @@ def q_active_customers(sf_dir: str):
     active = semi_anti_join(cust, keys, key="c_custkey",
                             right_key="o_custkey", how="semi")
 
-    def partial(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "c_mktsegment": t.column("c_mktsegment"),
-            "n_active": pa.array(np.ones(len(t), dtype=np.int64)),
-        })
-
-    return tree_aggregate(active.map_batches(partial,
-                                             batch_format="pyarrow"),
-                          ["c_mktsegment"], [("n_active", "sum")])
+    return tree_aggregate(active, ["c_mktsegment"],
+                          [("n_active", "count")])
 
 
 SQL_ACTIVE_CUSTOMERS = """
@@ -4112,36 +3929,33 @@ def q_tile_pyramid(sf_dir: str):
     from that tiny result by integer coordinate shifts — the whole
     pyramid costs one extra no-op at scale, the standard map-tiling
     rollup."""
-    from proj_ray.stages.agg import tree_aggregate
+    from proj_ray.stages.agg import combine_block, tree_aggregate
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def tiles(batch: pa.Table) -> pa.Table:
         lon = batch.column("lon").to_numpy(zero_copy_only=False)
         lat = batch.column("lat").to_numpy(zero_copy_only=False)
         tx, ty = tile_xy(lon, lat, 10)
-        key = ty.astype(np.int64) * 1024 + tx
-        ids, counts = np.unique(key, return_counts=True)
-        return pa.table({
-            "tx": pa.array((ids % 1024).astype(np.int64)),
-            "ty": pa.array((ids // 1024).astype(np.int64)),
-            "n": pa.array(counts.astype(np.int64))})
+        return pa.table({"tx": pa.array(tx.astype(np.int64)),
+                         "ty": pa.array(ty.astype(np.int64))})
 
     finest = tree_aggregate(
-        coords_dataset(sf_dir).map_batches(partial,
-                                           batch_format="pyarrow"),
-        ["tx", "ty"], [("n", "sum")])
+        coords_dataset(sf_dir).map_batches(tiles, batch_format="pyarrow"),
+        ["tx", "ty"], [("n", "count")])
 
-    def pyramid(df: pd.DataFrame) -> pd.DataFrame:
+    def pyramid(t: pa.Table) -> pa.Table:
         levels = []
         for zoom in (10, 8, 6):
             shift = 10 - zoom
-            g = df.assign(tx=df["tx"].to_numpy() >> shift,
-                          ty=df["ty"].to_numpy() >> shift) \
-                .groupby(["tx", "ty"], as_index=False)["n"].sum()
-            g.insert(0, "zoom", np.int64(zoom))
-            levels.append(g)
-        return pd.concat(levels, ignore_index=True)
+            g = combine_block(pa.table({
+                "tx": pc.shift_right(t.column("tx"), shift),
+                "ty": pc.shift_right(t.column("ty"), shift),
+                "n": t.column("n")}), ["tx", "ty"], [("n", "sum")])
+            levels.append(g.select(["tx", "ty", "n"]).add_column(
+                0, "zoom", pa.repeat(pa.scalar(zoom, pa.int64()),
+                                     g.num_rows)))
+        return pa.concat_tables(levels)
 
-    return finest.map_batches(pyramid, batch_format="pandas",
+    return finest.map_batches(pyramid, batch_format="pyarrow",
                               batch_size=None)
 
 
@@ -4176,19 +3990,13 @@ def q_doc_regex(sf_dir: str):
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["text", "lang"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
+    def matches(t: pa.Table) -> pa.Table:
+        return t.filter(pc.match_substring_regex(t.column("text"),
+                                                 _DOC_REGEX))
 
-        hit = pc.match_substring_regex(t.column("text"), _DOC_REGEX)
-        t2 = t.filter(hit)
-        return pa.table({
-            "lang": t2.column("lang"),
-            "n_match": pa.array(np.ones(len(t2), dtype=np.int64)),
-        })
-
-    return tree_aggregate(ds.map_batches(partial,
+    return tree_aggregate(ds.map_batches(matches,
                                          batch_format="pyarrow"),
-                          ["lang"], [("n_match", "sum")])
+                          ["lang"], [("n_match", "count")])
 
 
 SQL_DOC_REGEX = f"""
@@ -4227,16 +4035,13 @@ def q_media_manifest(sf_dir: str):
             "media_ref": flat.field("media_ref"),
         }).filter(keep)
         out = _doc_id_to_int(out)
-        return pa.table({
-            "media_ref": out.column("media_ref"),
-            "n_refs": pa.array(np.ones(len(out), dtype=np.int64)),
-            "first_doc": out.column("doc_id"),
-        })
+        return pa.table({"media_ref": out.column("media_ref"),
+                         "first_doc": out.column("doc_id")})
 
     exploded = docs.map_batches(explode_media, batch_format="pyarrow")
     return hash_shuffle_aggregate(
         exploded, ["media_ref"],
-        [("n_refs", "sum"), ("first_doc", "min")])
+        [("n_refs", "count"), ("first_doc", "min")])
 
 
 def _sql_media_manifest() -> str:

@@ -98,19 +98,20 @@ def raster_regions(cells_ds, tile_col: str = "tile",
             region = tid
         tx = tid % width
         ty = tid // width
-        w = (t.column(weight_col).to_numpy(zero_copy_only=False)
-             .astype(np.int64) if weight_col
-             else np.ones(len(t), dtype=np.int64))
-        return pa.table({
+        out = pa.table({
             "region_id": pa.array(region),
-            "n_cells": pa.array(np.ones(len(t), dtype=np.int64)),
-            "n_points": pa.array(w),
             "min_tx": pa.array(tx), "max_tx": pa.array(tx),
             "min_ty": pa.array(ty), "max_ty": pa.array(ty),
         })
+        if weight_col:
+            out = out.append_column("n_points", pa.array(
+                t.column(weight_col).to_numpy(zero_copy_only=False)
+                .astype(np.int64)))
+        return out
 
     tagged = cells_ds.map_batches(tag_batch, batch_format="pyarrow")
     return tree_aggregate(tagged, ["region_id"],
-                          [("n_cells", "sum"), ("n_points", "sum"),
+                          [("n_cells", "count"),
+                           ("n_points", "sum" if weight_col else "count"),
                            ("min_tx", "min"), ("max_tx", "max"),
                            ("min_ty", "min"), ("max_ty", "max")])

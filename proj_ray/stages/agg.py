@@ -1,12 +1,19 @@
 """Arrow-native aggregation helpers.
 
 Ray Data's built-in `groupby().aggregate(...)` is a full sort-based
-shuffle with per-row Python overhead — pathological for the
-pre-aggregated partial streams our pipelines emit.  `tree_aggregate`
-replaces it with the classic combiner tree: per-block partials are
-already grouped (C++ `pyarrow.Table.group_by`), a fan-in level combines
-32:1, and a final single task merges.  Associative aggregations only
-(sum/min/max/count).
+shuffle with per-row Python overhead.  `tree_aggregate` replaces it
+with the classic combiner tree, and both helpers here take ROWS: the
+first combine is a per-block C++ `pyarrow.Table.group_by` that fuses
+into the caller's map, so callers never pre-group.  With `fanout=0`
+(the default) the tree is that per-block combine plus one final
+combine task; `fanout=N` inserts an N-way fan-in level between them
+(the two wide-vocabulary callers, `text.corpus_token_freq_broadcast`
+and the dedup df table, pass 8).
+
+An agg spec is a list of `(col, fn)` with fn in {"sum", "min", "max",
+"count"}; the result column keeps the name `col`.  `(col, "count")` is
+SQL count(*): the first combine counts rows into `col` and every later
+combine sums those counts, so `col` need not exist in the input.
 
 Scale note: the tree's final level sees at most (distinct keys) rows —
 the right tool when key cardinality is bounded (tiles, cells, hour
@@ -18,13 +25,12 @@ keys into independent buckets first, then runs one combine per bucket
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-# agg spec: list of (column, fn) with fn in {"sum", "min", "max"}
 
 
 def crc_bucket(col, num_buckets: int) -> np.ndarray:
@@ -41,18 +47,27 @@ def crc_bucket(col, num_buckets: int) -> np.ndarray:
 
 def combine_block(batch: pa.Table, keys: Sequence[str],
                   aggs: Sequence[Tuple[str, str]]) -> pa.Table:
-    """One C++ hash-aggregate over a block, preserving column names."""
-    gb = batch.group_by(list(keys))
-    out = gb.aggregate([(c, f) for c, f in aggs])
-    renames = {f"{c}_{f}": c for c, f in aggs}
+    """One C++ hash-aggregate over a block, preserving column names
+    (`(col, "count")` counts the block's rows into `col`).  No keys
+    gives the block's grand total."""
+    out = batch.group_by(list(keys)).aggregate(
+        [([], "count_all") if f == "count" else (c, f) for c, f in aggs])
+    renames = {"count_all" if f == "count" else f"{c}_{f}": c
+               for c, f in aggs}
     return out.rename_columns(
         [renames.get(n, n) for n in out.column_names])
+
+
+def _merge_aggs(aggs: Sequence[Tuple[str, str]]) -> List[Tuple[str, str]]:
+    """The spec every combine after the first runs: counts are summed."""
+    return [(c, "sum" if f == "count" else f) for c, f in aggs]
 
 
 def tree_aggregate(ds, keys: Sequence[str],
                    aggs: Sequence[Tuple[str, str]], fanout: int = 0,
                    max_keys: int | None = 4_000_000):
-    """Combine-tree aggregation: block partials -> [fan-in ->] final.
+    """Combine-tree aggregation of rows: per-block combine ->
+    [fan-in ->] final.
 
     With fanout=0 (default) the tree is two levels: per-block combine,
     then one final combine task — right when (blocks x keys) partial
@@ -67,12 +82,16 @@ def tree_aggregate(ds, keys: Sequence[str],
     max_keys=None only when the bound is externally guaranteed."""
     k = list(keys)
     a = list(aggs)
+    merge = _merge_aggs(a)
 
     def combine(batch: pa.Table) -> pa.Table:
         return combine_block(batch, k, a)
 
+    def combine_merge(batch: pa.Table) -> pa.Table:
+        return combine_block(batch, k, merge)
+
     def combine_final(batch: pa.Table) -> pa.Table:
-        out = combine_block(batch, k, a)
+        out = combine_block(batch, k, merge)
         if max_keys is not None and out.num_rows > max_keys:
             raise ValueError(
                 f"tree_aggregate: final combine produced {out.num_rows} "
@@ -83,7 +102,7 @@ def tree_aggregate(ds, keys: Sequence[str],
     partial = ds.map_batches(combine, batch_format="pyarrow")
     if fanout:
         partial = partial.repartition(fanout).map_batches(
-            combine, batch_format="pyarrow", batch_size=None)
+            combine_merge, batch_format="pyarrow", batch_size=None)
     return partial.repartition(1).map_batches(
         combine_final, batch_format="pyarrow", batch_size=None)
 
@@ -101,53 +120,54 @@ def hash_distinct(ds, col: str, num_buckets: int = 64):
 def hash_shuffle_aggregate(ds, keys: Sequence[str],
                            aggs: Sequence[Tuple[str, str]],
                            num_buckets: int = 64):
-    """Hash-partitioned aggregate for unbounded key cardinality: bucket
-    by the first key's hash (the shuffle key), then one exact combine
-    per bucket.  Empty `aggs` gives the DISTINCT key tuples."""
+    """Hash-partitioned aggregate of rows for unbounded key
+    cardinality: combine per block, bucket by the first key's hash
+    (the shuffle key), then one exact combine per bucket.  Empty
+    `aggs` gives the DISTINCT key tuples."""
     from proj_ray.stages.partitioning import keyed_apply
 
     k = list(keys)
     a = list(aggs)
+    merge = _merge_aggs(a)
 
     def combine(batch: pa.Table) -> pa.Table:
         return combine_block(batch, k, a)
 
-    # combine before the shuffle, and again per bucket
+    def combine_merge(batch: pa.Table) -> pa.Table:
+        return combine_block(batch, k, merge)
+
     return keyed_apply(ds.map_batches(combine, batch_format="pyarrow"),
-                       k[0], combine, num_buckets)
+                       k[0], combine_merge, num_buckets)
 
 
 def grouping_sets_from_finest(finest_ds, all_keys, sets, agg_cols,
                               sentinel="ALL"):
-    """Arbitrary SQL GROUPING SETS from the finest-level aggregate:
-    each requested set re-aggregates the (tiny, bounded-key) finest
-    result — sums/counts are re-aggregable, so no extra corpus pass
-    regardless of how many sets are asked for (the generalization of
-    the ROLLUP/CUBE queries' inline logic).  Dropped key columns carry
-    the `sentinel` value."""
-    import pandas as pd
-
+    """Arbitrary SQL GROUPING SETS (ROLLUP and CUBE among them) from
+    the finest-level aggregate: each requested set re-aggregates the
+    (tiny, bounded-key) finest result with `combine_block` — sums and
+    counts are re-aggregable, so no extra corpus pass regardless of
+    how many sets are asked for; the empty set `()` is the grand
+    total.  Dropped key columns carry the `sentinel` value."""
     all_keys = list(all_keys)
     agg_cols = list(agg_cols)
-    norm_sets = [tuple(s) for s in sets]
+    norm_sets = [list(s) for s in sets]
     for s in norm_sets:
         unknown = set(s) - set(all_keys)
         if unknown:
             raise ValueError(f"grouping_sets: unknown keys {unknown}")
+    sums = [(c, "sum") for c in agg_cols]
 
-    def expand(df: pd.DataFrame) -> pd.DataFrame:
+    def expand(t: pa.Table) -> pa.Table:
         outs = []
         for keys in norm_sets:
-            dropped = [k for k in all_keys if k not in keys]
-            if keys:
-                g = df.groupby(list(keys),
-                               as_index=False)[agg_cols].sum()
-            else:
-                g = df[agg_cols].sum().to_frame().T
-            for d in dropped:
-                g[d] = sentinel
-            outs.append(g[all_keys + agg_cols])
-        return pd.concat(outs, ignore_index=True)
+            g = combine_block(t, keys, sums)
+            for d in all_keys:
+                if d not in keys:
+                    g = g.append_column(d, pa.repeat(
+                        pa.scalar(sentinel, t.schema.field(d).type),
+                        g.num_rows))
+            outs.append(g.select(all_keys + agg_cols))
+        return pa.concat_tables(outs)
 
-    return finest_ds.map_batches(expand, batch_format="pandas",
+    return finest_ds.map_batches(expand, batch_format="pyarrow",
                                  batch_size=None)

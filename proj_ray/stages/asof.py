@@ -44,14 +44,8 @@ def detect_hot_keys(ds, key: str, min_frac: float = 0.05) -> np.ndarray:
     driver."""
     from proj_ray.stages.agg import hash_shuffle_aggregate
 
-    def partial(t: pa.Table) -> pa.Table:
-        k = t.column(key).to_numpy(zero_copy_only=False)
-        u, c = np.unique(k, return_counts=True)
-        return pa.table({key: pa.array(u), "__n": pa.array(c)})
-
-    counts = hash_shuffle_aggregate(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        [key], [("__n", "sum")]).materialize()
+    counts = hash_shuffle_aggregate(ds, [key],
+                                    [("__n", "count")]).materialize()
     total = sum(r["__n"] for r in
                 counts.map_batches(
                     lambda t: pa.table({"__n": pa.array(

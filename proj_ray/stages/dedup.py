@@ -620,15 +620,13 @@ def ngram_jaccard_pairs(docs_ds, jaccard_threshold: float = 0.8,
     if broadcast_df:
         from proj_ray.stages.agg import tree_aggregate
 
-        def df_partial(t: pa.Table) -> pa.Table:
+        def shingle_rows(t: pa.Table) -> pa.Table:
             vals, _ = _binary_int64_segments(t.column("shingles"))
-            u, c = np.unique(vals, return_counts=True)
-            return pa.table({"shingle": pa.array(u),
-                             "df": pa.array(c.astype(np.int64))})
+            return pa.table({"shingle": pa.array(vals)})
 
         freq_ds = tree_aggregate(
-            sigs.map_batches(df_partial, batch_format="pyarrow"),
-            ["shingle"], [("df", "sum")], fanout=8,
+            sigs.map_batches(shingle_rows, batch_format="pyarrow"),
+            ["shingle"], [("df", "count")], fanout=8,
             max_keys=_BROADCAST_DF_MAX)
         freq_tbl = pa.concat_tables(ray.get(freq_ds.to_arrow_refs()),
                                     promote_options="default")

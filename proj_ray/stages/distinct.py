@@ -1,9 +1,10 @@
 """Distinct counting: exact keyed COUNT(DISTINCT) and a mergeable
 HyperLogLog sketch.
 
-Exact path: per-batch (key, value) dedup, one hash shuffle keyed by
-the pair to finish the dedup exactly, then a small combine per key —
-the shuffle moves at most one row per distinct pair, never the corpus.
+Exact path: a hash aggregate keyed by the (key, value) pair gives the
+distinct pairs (its per-block combine bounds the shuffle at one row
+per block and distinct pair, never the corpus), then a small count
+per key.
 Right when the distinct-pair universe fits the cluster (it usually
 does: it is the answer's support).
 
@@ -46,27 +47,11 @@ def exact_distinct_count(ds, key: str, value: str,
     tree_aggregate enforces with max_keys."""
     from proj_ray.stages.agg import hash_shuffle_aggregate, tree_aggregate
 
-    def pair_dedup(t: pa.Table) -> pa.Table:
-        return pa.table({
-            key: t.column(key),
-            value: t.column(value),
-            "__one": pa.array(np.ones(len(t), dtype=np.int64)),
-        }).group_by([key, value]).aggregate([("__one", "min")]) \
-            .rename_columns([key, value, "__one"])
-
-    pairs = hash_shuffle_aggregate(
-        ds.map_batches(pair_dedup, batch_format="pyarrow"),
-        [key, value], [("__one", "min")], num_buckets=num_buckets)
-
-    def count_partial(t: pa.Table) -> pa.Table:
-        return pa.table({key: t.column(key),
-                         out_col: pa.array(np.ones(len(t),
-                                                   dtype=np.int64))})
-
-    counted = pairs.map_batches(count_partial, batch_format="pyarrow")
+    pairs = hash_shuffle_aggregate(ds, [key, value], [],
+                                   num_buckets=num_buckets)
     if bounded_keys:
-        return tree_aggregate(counted, [key], [(out_col, "sum")])
-    return hash_shuffle_aggregate(counted, [key], [(out_col, "sum")],
+        return tree_aggregate(pairs, [key], [(out_col, "count")])
+    return hash_shuffle_aggregate(pairs, [key], [(out_col, "count")],
                                   num_buckets=num_buckets)
 
 
@@ -90,10 +75,8 @@ def approx_distinct(ds, key: str, value: str, p: int = 12,
         lz = 63 - np.floor(np.log2(rest.astype(np.float64))) \
             .astype(np.int64)
         rho = np.clip(lz + 1, 1, nbits + 1)
-        tbl = pa.table({key: kv, "__reg": pa.array(reg),
-                        "__rho": pa.array(rho)})
-        out = tbl.group_by([key, "__reg"]).aggregate([("__rho", "max")])
-        return out.rename_columns([key, "__reg", "__rho"])
+        return pa.table({key: kv, "__reg": pa.array(reg),
+                         "__rho": pa.array(rho)})
 
     regs = hash_shuffle_aggregate(
         ds.map_batches(batch_registers, batch_format="pyarrow"),
@@ -134,9 +117,9 @@ def approx_distinct(ds, key: str, value: str, p: int = 12,
 def hll_estimate_batches(ds, values_fn, p: int = 14) -> int:
     """Corpus-wide distinct-count estimate over arbitrary uint64
     values: `values_fn(batch) -> np.ndarray` extracts the values per
-    batch; sparse (register, rho) rows — at most 2^p per batch —
-    max-merge through the combine tree, so the driver sees <= 2^p rows
-    regardless of corpus size.  The cheap gate for size-gated
+    batch; (register, rho) rows max-merge through the combine tree
+    (at most 2^p rows per block after its first combine), so the
+    driver sees <= 2^p rows regardless of corpus size.  The cheap gate for size-gated
     broadcast-vs-shuffle regime choices (stages/text.py, dedup.py)."""
     from proj_ray.stages.agg import tree_aggregate
 
@@ -144,17 +127,12 @@ def hll_estimate_batches(ds, values_fn, p: int = 14) -> int:
 
     def regs(t: pa.Table) -> pa.Table:
         h = _hash64(np.asarray(values_fn(t)).astype(np.uint64))
-        if len(h) == 0:
-            return pa.table({"__reg": pa.array([], type=pa.int64()),
-                             "__rho": pa.array([], type=pa.int64())})
         reg = (h >> np.uint64(64 - p)).astype(np.int64)
         rest = (h << np.uint64(p)) | np.uint64((1 << p) - 1)
         lz = 63 - np.floor(np.log2(rest.astype(np.float64))) \
             .astype(np.int64)
         rho = np.clip(lz + 1, 1, 64 - p + 1)
-        out = pa.table({"__reg": pa.array(reg), "__rho": pa.array(rho)})
-        return out.group_by(["__reg"]).aggregate([("__rho", "max")]) \
-            .rename_columns(["__reg", "__rho"])
+        return pa.table({"__reg": pa.array(reg), "__rho": pa.array(rho)})
 
     tbl = pa.concat_tables(
         tree_aggregate(ds.map_batches(regs, batch_format="pyarrow"),

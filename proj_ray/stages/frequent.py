@@ -1,9 +1,9 @@
 """Heavy hitters: exact frequent values and a Misra-Gries summary.
 
-Exact path: per-batch Arrow hash-count partials (bounded by each
-batch's distinct values), a value-keyed hash shuffle to finish the
-counts, then a threshold filter against the global total — the shuffle
-moves one row per distinct value, never the corpus.
+Exact path: a value-keyed hash aggregate counts the tokens (its
+per-block combine bounds the shuffle at one row per block and distinct
+value, never the corpus), then a threshold filter against the global
+total.
 
 Misra-Gries path (mergeable, for unbounded vocabularies where even the
 distinct-value table is too wide): each batch keeps k counters; merged
@@ -21,44 +21,29 @@ import pyarrow as pa
 
 
 def token_counts(ds, text_col: str, pattern: str = " "):
-    """Distributed token histogram: split `text_col`, count per batch,
-    finish with a token-keyed hash shuffle."""
+    """Distributed token histogram: split `text_col`, count with a
+    token-keyed hash aggregate."""
     from proj_ray.stages.agg import hash_shuffle_aggregate
 
-    def partial(t: pa.Table) -> pa.Table:
+    def tokens(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        toks = pc.list_flatten(pc.split_pattern(t.column(text_col),
-                                                pattern))
-        tbl = pa.table({"tok": toks,
-                        "n_tok": pa.array(np.ones(len(toks),
-                                                  dtype=np.int64))})
-        out = tbl.group_by(["tok"]).aggregate([("n_tok", "sum")])
-        return out.rename_columns(["tok", "n_tok"])
+        return pa.table({"tok": pc.list_flatten(
+            pc.split_pattern(t.column(text_col), pattern))})
 
     return hash_shuffle_aggregate(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["tok"], [("n_tok", "sum")])
+        ds.map_batches(tokens, batch_format="pyarrow"),
+        ["tok"], [("n_tok", "count")])
 
 
 def exact_frequent(ds, text_col: str, min_frac: float,
                    pattern: str = " "):
     """Tokens whose global frequency is >= min_frac of all tokens."""
-    import ray
-
     from proj_ray.stages.agg import tree_aggregate
 
     counts = token_counts(ds, text_col, pattern).materialize()
-
-    def total_partial(t: pa.Table) -> pa.Table:
-        return pa.table({"__k": pa.array([0]),
-                         "n": pa.array([int(pa.compute.sum(
-                             t.column("n_tok")).as_py() or 0)])})
-
-    tot_ds = tree_aggregate(
-        counts.map_batches(total_partial, batch_format="pyarrow"),
-        ["__k"], [("n", "sum")])
-    total = int(tot_ds.to_pandas()["n"].iloc[0])
+    total = tree_aggregate(counts, [], [("n_tok", "sum")]) \
+        .take_all()[0]["n_tok"] or 0
 
     def keep(t: pa.Table) -> pa.Table:
         n = t.column("n_tok").to_numpy(zero_copy_only=False)
@@ -73,22 +58,15 @@ def grouped_mode(ds, key: str, value: str, out_count: str = "n"):
     SQL-reproducible with ``row_number() OVER (... ORDER BY count(*)
     DESC, value)``).
 
-    Shape: per-batch (key, value) counts are the combiner, one
-    hash-partitioned aggregate finishes the counts exactly (pair
-    universe is unbounded), and the bounded-partial top-k combiner
-    picks each key's argmax — the shuffle moves distinct pairs, never
-    rows."""
+    Shape: one hash-partitioned aggregate counts the (key, value)
+    pairs exactly (pair universe is unbounded), and the
+    bounded-partial top-k combiner picks each key's argmax — the
+    shuffle moves distinct pairs, never rows."""
     from proj_ray.stages.agg import hash_shuffle_aggregate
     from proj_ray.stages.windows import grouped_top_k
 
-    def pair_counts(t: pa.Table) -> pa.Table:
-        out = pa.table({key: t.column(key), value: t.column(value)}) \
-            .group_by([key, value]).aggregate([([], "count_all")])
-        return out.rename_columns([key, value, out_count])
-
-    counts = hash_shuffle_aggregate(
-        ds.map_batches(pair_counts, batch_format="pyarrow"),
-        [key, value], [(out_count, "sum")])
+    counts = hash_shuffle_aggregate(ds, [key, value],
+                                    [(out_count, "count")])
     return grouped_top_k(counts, key=key, score=out_count, k=1,
                          descending=True, tiebreak=value)
 

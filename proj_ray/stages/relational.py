@@ -299,19 +299,16 @@ def semi_anti_join(big_ds, keys_ds, key: str,
 def _set_op(ds_a, ds_b, col: str, keep: str):
     """Distinct set algebra over one column: tag each side, take the
     union of the two streams (no data movement — union is lazy block
-    concat), per-batch dedup partials, then ONE key-hash shuffle whose
-    per-key min/max side flags decide membership.  `keep` is
+    concat), then ONE key-hash aggregate whose per-key min/max side
+    flags decide membership.  `keep` is
     "intersect" (key on both sides) or "except" (key on A only)."""
     from proj_ray.stages.agg import hash_shuffle_aggregate
 
     def tag(side: int):
         def fn(t: pa.Table) -> pa.Table:
-            u = np.unique(t.column(col).to_numpy(zero_copy_only=False))
-            return pa.table({
-                col: pa.array(u),
-                "__lo": pa.array(np.full(len(u), side, dtype=np.int64)),
-                "__hi": pa.array(np.full(len(u), side, dtype=np.int64)),
-            })
+            flag = pa.array(np.full(len(t), side, dtype=np.int64))
+            return pa.table({col: t.column(col), "__lo": flag,
+                             "__hi": flag})
         return fn
 
     tagged = ds_a.map_batches(tag(0), batch_format="pyarrow") \

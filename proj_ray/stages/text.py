@@ -37,11 +37,10 @@ def token_hashes(t: pa.Table, col: str, pattern: str = " "):
     return rolling_hash_batch(toks.flatten()), off - off[0]
 
 
-def token_counts(t: pa.Table, col: str) -> pa.Table:
-    """(tok, c): the distinct token hashes of one batch and their
-    counts — the per-batch combiner of the corpus frequency table."""
-    u, c = np.unique(token_hashes(t, col)[0], return_counts=True)
-    return pa.table({"tok": pa.array(u), "c": pa.array(c.astype(np.int64))})
+def token_rows(t: pa.Table, col: str) -> pa.Table:
+    """(tok,): one token hash per token of one batch — the rows the
+    corpus frequency table counts."""
+    return pa.table({"tok": pa.array(token_hashes(t, col)[0])})
 
 
 class TextScorer:
@@ -401,18 +400,18 @@ def doc_token_partials(t: pa.Table, text_col: str = "text",
 
 def corpus_token_scalars(ds, text_col: str = "text",
                          num_buckets: int | None = None):
-    """(T, V): total token count and EXACT distinct-token count, with
-    per-batch (tok, c) combiners, one token-hash shuffle, and only one
-    stat row per bucket leaving the cluster."""
+    """(T, V): total token count and EXACT distinct-token count from
+    one token-hash aggregate; only one stat row per bucket leaves the
+    cluster."""
     from proj_ray.stages.agg import hash_shuffle_aggregate
     from proj_ray.stages.partitioning import derive_num_partitions
 
     nb = num_buckets or derive_num_partitions(ds, default=64)
 
     freq = hash_shuffle_aggregate(
-        ds.map_batches(token_counts, fn_args=(text_col,),
+        ds.map_batches(token_rows, fn_args=(text_col,),
                        batch_format="pyarrow"),
-        ["tok"], [("c", "sum")], num_buckets=nb)
+        ["tok"], [("c", "count")], num_buckets=nb)
 
     def stats(t: pa.Table) -> pa.Table:
         c = t.column("c").to_numpy(zero_copy_only=False)
@@ -528,9 +527,9 @@ def corpus_token_freq_broadcast(ds, text_col: str = "text",
     from proj_ray.stages.agg import tree_aggregate
 
     freq_ds = tree_aggregate(
-        ds.map_batches(token_counts, fn_args=(text_col,),
+        ds.map_batches(token_rows, fn_args=(text_col,),
                        batch_format="pyarrow"),
-        ["tok"], [("c", "sum")], fanout=8, max_keys=max_keys)
+        ["tok"], [("c", "count")], fanout=8, max_keys=max_keys)
     freq = pa.concat_tables(ray.get(freq_ds.to_arrow_refs()),
                             promote_options="default")
     vocab = freq.column("tok").to_numpy(zero_copy_only=False)

@@ -42,39 +42,6 @@ def test_stratified_near_one_rate_no_wrap(ray_session):
     assert len(got) == 2_000  # every 'en' row kept, no uint64 wrap
 
 
-# ------------------------ tree_aggregate guard -------------------------
-
-
-def test_tree_aggregate_max_keys_guard(ray_session):
-    import ray.data as rd
-
-    from proj_ray.stages.agg import tree_aggregate
-
-    ds = rd.from_arrow(pa.table({
-        "k": np.arange(5_000, dtype=np.int64),
-        "v": np.ones(5_000, dtype=np.int64)}))
-    with pytest.raises(Exception, match="max_keys"):
-        tree_aggregate(ds, ["k"], [("v", "sum")], max_keys=100).take_all()
-    # bounded keys pass untouched
-    ds2 = rd.from_arrow(pa.table({
-        "k": np.arange(5_000, dtype=np.int64) % 7,
-        "v": np.ones(5_000, dtype=np.int64)}))
-    out = tree_aggregate(ds2, ["k"], [("v", "sum")],
-                         max_keys=100).take_all()
-    assert len(out) == 7
-
-
-def test_hash_distinct(ray_session):
-    import ray.data as rd
-
-    from proj_ray.stages.agg import hash_distinct
-
-    vals = np.array([5, 1, 5, 2, 2, 9, 1, 5], dtype=np.int64)
-    ds = rd.from_arrow(pa.table({"k": vals})).repartition(3)
-    got = sorted(r["k"] for r in hash_distinct(ds, "k").take_all())
-    assert got == [1, 2, 5, 9]
-
-
 # --------------------------- semi/anti join ----------------------------
 
 

@@ -3,8 +3,9 @@ rows-only sanity for the rest (full sweep in tools/check_oracles.py)."""
 
 import duckdb
 import numpy as np
-import pandas as pd
 import pytest
+
+from tools.check_oracles import compare, to_pandas
 
 SF = "/root/testdata/sf0.001"
 TABLES = ("region nation customer supplier part orders lineitem events "
@@ -20,46 +21,28 @@ def con():
     return c
 
 
-def canon(df: pd.DataFrame) -> pd.DataFrame:
-    df = df[sorted(df.columns)].copy()
-    for c in df.columns:
-        if df[c].dtype == object:
-            df[c] = df[c].astype(str)
-    return df.sort_values(list(df.columns)).reset_index(drop=True)
-
-
-def _to_pandas(res):
-    import pyarrow as pa
-
-    if isinstance(res, pd.DataFrame):
-        return res
-    if isinstance(res, pa.Table):
-        return res.to_pandas()
-    return res.to_pandas()
-
-
 @pytest.mark.parametrize("name", [
     "span_coords", "span_sequence", "webmerc_project", "cell_assign", "tile_assign",
     "rect_join", "knn_haversine", "cart_helmert", "text_stats",
     "hgridshift_synth", "vgridshift_synth", "pip_polygons", "utm_project",
     "exact_dedup", "ngram_jaccard", "dedup_clusters", "near_dup_keep",
     "events_window", "lineitem_agg",
+    # the aggregate queries (combine-tree / hash aggregate, grouping sets)
+    "lineitem_rollup", "lineitem_cube", "orders_gsets", "orders_quartiles",
+    "lineitem_corr", "brand_supplier_revenue", "order_revenue",
+    "events_promo", "events_sliding", "events_pivot", "events_resample",
+    "tile_histogram", "cell_histogram", "tile_regions", "tile_pyramid",
+    "doc_split", "doc_regex", "corpus_curation", "zonal_stats",
+    "idle_customers", "active_customers", "urgent_orders",
+    "customer_region", "embedding_centroids", "media_manifest",
+    "frequent_tokens",
 ])
 def test_query_matches_oracle(ray_session, con, name):
     from proj_ray.pipelines.queries import build_oracles, build_queries
 
-    mine = canon(_to_pandas(build_queries()[name](SF)))
-    want = canon(con.execute(build_oracles()[name]).df())
-    assert len(mine) == len(want), name
-    assert list(mine.columns) == list(want.columns), name
-    for c in mine.columns:
-        av = mine[c].to_numpy()
-        bv = want[c].to_numpy()
-        if av.dtype.kind == "f":
-            assert np.allclose(av, bv.astype(float), atol=0, rtol=0,
-                               equal_nan=True), f"{name}.{c}"
-        else:
-            assert (av == bv).all(), f"{name}.{c}"
+    mine = to_pandas(build_queries()[name](SF))
+    want = con.execute(build_oracles()[name]).df()
+    assert compare(name, mine, want) == "OK", name
 
 
 def test_rows_only_queries_run(ray_session):
@@ -69,7 +52,7 @@ def test_rows_only_queries_run(ray_session):
     for name in ("geodesic_pairs",
                  "minhash_pairs", "simhash_pairs", "media_features",
                  "lang_quality", "ann_ivf"):
-        res = _to_pandas(q[name](SF))
+        res = to_pandas(q[name](SF))
         assert len(res) >= 0
 
 
@@ -98,11 +81,11 @@ def test_lang_id_runs(ray_session):
     meaningless; assert the heuristic is deterministic and sane."""
     from proj_ray.pipelines.queries import build_queries
 
-    df = _to_pandas(build_queries()["lang_quality"](SF))
+    df = to_pandas(build_queries()["lang_quality"](SF))
     assert set(df["lang_pred"]) <= {"en", "de", "fr", "es", "zh", "unknown"}
     known = df[df["lang_pred"] != "unknown"]
     # texts contain 'the' throughout -> overwhelmingly classified en
     assert (known["lang_pred"] == "en").mean() > 0.9
-    df2 = _to_pandas(build_queries()["lang_quality"](SF))
+    df2 = to_pandas(build_queries()["lang_quality"](SF))
     assert (df.sort_values("doc_id")["lang_pred"].to_numpy()
             == df2.sort_values("doc_id")["lang_pred"].to_numpy()).all()

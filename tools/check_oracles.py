@@ -7,6 +7,8 @@ oracle HUGEINT->float64 fails there even when values match — r4's two
 red rows; the local gate must be at least as strict).
 
 Usage: python tools/check_oracles.py [--json OUT.json] [sf_dir] [query ...]
+
+A query name that is not in build_queries() exits 1 before anything runs.
 """
 
 from __future__ import annotations
@@ -78,6 +80,15 @@ def main():
     sf_dir = argv[0] if argv else "/root/testdata/sf0.001"
     only = set(argv[1:])
 
+    from proj_ray.pipelines.queries import build_oracles, build_queries
+
+    queries = build_queries()
+    oracles = build_oracles()
+    unknown = sorted(only - set(queries))
+    if unknown:
+        print(f"unknown queries: {', '.join(unknown)}")
+        sys.exit(1)
+
     import ray
 
     ray.init(address="local",
@@ -87,11 +98,6 @@ def main():
     import ray.data
 
     ray.data.DataContext.get_current().enable_progress_bars = False
-
-    from proj_ray.pipelines.queries import build_oracles, build_queries
-
-    queries = build_queries()
-    oracles = build_oracles()
 
     con = duckdb.connect()
     for t in TABLES:
