@@ -32,7 +32,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-
 def crc_bucket(col, num_buckets: int) -> np.ndarray:
     """Vectorized crc32(str(value)) % num_buckets over an Arrow column
     (the shuffle-bucket key) — replaces a per-value Python loop."""
@@ -52,10 +51,8 @@ def combine_block(batch: pa.Table, keys: Sequence[str],
     gives the block's grand total."""
     out = batch.group_by(list(keys)).aggregate(
         [([], "count_all") if f == "count" else (c, f) for c, f in aggs])
-    renames = {"count_all" if f == "count" else f"{c}_{f}": c
-               for c, f in aggs}
-    return out.rename_columns(
-        [renames.get(n, n) for n in out.column_names])
+    # keys come first, then one column per spec entry in order
+    return out.rename_columns(list(keys) + [c for c, _ in aggs])
 
 
 def _merge_aggs(aggs: Sequence[Tuple[str, str]]) -> List[Tuple[str, str]]:

@@ -119,8 +119,9 @@ def hll_estimate_batches(ds, values_fn, p: int = 14) -> int:
     values: `values_fn(batch) -> np.ndarray` extracts the values per
     batch; (register, rho) rows max-merge through the combine tree
     (at most 2^p rows per block after its first combine), so the
-    driver sees <= 2^p rows regardless of corpus size.  The cheap gate for size-gated
-    broadcast-vs-shuffle regime choices (stages/text.py, dedup.py)."""
+    driver sees <= 2^p rows regardless of corpus size.  The cheap
+    gate for size-gated broadcast-vs-shuffle regime choices
+    (stages/text.py, dedup.py)."""
     from proj_ray.stages.agg import tree_aggregate
 
     m = 1 << p
