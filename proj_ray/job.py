@@ -16,9 +16,10 @@ query     run any registered pipeline from queries() over an sf dir
 flagship  run the resumable sharded flagship: doc-id-range partitions
           through per-partition checkpoint manifests (lineage +
           metrics); re-submitting after a failure recomputes ONLY
-          shards without a valid manifest.  --shards sets both the
-          checkpoint granularity and the task count (one Ray
-          task per pending shard).
+          shards without a valid manifest.  --shards sets only the
+          checkpoint granularity; the task count comes from the
+          cluster (min(pending shards, cluster CPUs) Ray tasks, each
+          working through a contiguous group of pending shards).
 """
 
 from __future__ import annotations

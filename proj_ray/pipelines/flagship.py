@@ -13,9 +13,11 @@ the only all-to-all exchange is the final small groupby(tile) over
 those partials.
 
 `resumable_flagship` runs the same kernel over the same slices of
-checkpointed doc-id shards, one plain Ray task per pending shard: its
+checkpointed doc-id shards as plain Ray tasks, one per cluster CPU at
+most, each working through a contiguous group of pending shards: the
 input and output are a handful of shard ids, so nothing streams and
-Ray Data's fixed per-execution cost would buy nothing.
+Ray Data's fixed per-execution cost would buy nothing.  `n_shards`
+sets the checkpoint granularity, the cluster the task count.
 """
 
 from __future__ import annotations
@@ -146,36 +148,53 @@ def _shard_id(i: int) -> str:
     return f"shard-{i:05d}"
 
 
-@ray.remote
-def _checkpoint_shard(i: int, bounds, root: str, config: dict, index_ref,
-                      zoom: int) -> int:
-    """One pending shard as one Ray task: synthesize the shard's doc-id
-    range slice by slice through the fused flagship kernel, combine its
-    tile partials, and checkpoint them from inside the worker (manifest
-    last).  Returns the shard id.
-
-    `index_ref` is a one-element list holding the index's ObjectRef.
-    Nested, Ray passes the ref itself rather than resolving it, so
-    `_get_state` keys on the same ref for every shard of a pass and a
-    worker fetches the index once per pass."""
+def _checkpoint_shard(i: int, bounds, writer, index, zoom: int) -> None:
+    """One shard: synthesize its doc-id range slice by slice through
+    the fused flagship kernel, combine its tile partials, and
+    checkpoint them (manifest last)."""
     from proj_ray.stages.agg import combine_block
-    from proj_ray.state.checkpoint import CheckpointWriter
 
-    (ref,) = index_ref
     lo, hi = int(bounds[i]), int(bounds[i + 1])
     parts = [
         doc_tile_partials(make_doc_batch(
             np.arange(s, min(s + _DOC_SLICE, hi), dtype=np.int64)),
-            ref, zoom)
+            index, zoom)
         # lo + 1: an empty shard (n_docs < n_shards) still
         # checkpoints an empty partial table
         for s in range(lo, max(hi, lo + 1), _DOC_SLICE)]
     table = combine_block(pa.concat_tables(parts), ["tile"], _TILE_AGGS)
-    CheckpointWriter(root, config).write_partition(
+    writer.write_partition(
         _shard_id(i), table,
         lineage={"partition": _shard_id(i), "doc_id_range": [lo, hi]},
         metrics={"rows": table.num_rows})
-    return i
+
+
+def _checkpoint_group(shards, bounds, root: str, config: dict, index,
+                      zoom: int) -> list:
+    """One task's contiguous group of pending shards, in order, each
+    checkpointed from inside the worker.  A shard that already has a
+    valid manifest is skipped, so a retry after a worker crash redoes
+    only the unfinished ones.  A failing shard does not stop the
+    group: the rest still checkpoint, then the first error re-raises.
+    Returns the shard ids this call wrote."""
+    from proj_ray.state.checkpoint import CheckpointWriter
+
+    writer = CheckpointWriter(root, config)
+    done, error = [], None
+    for i in shards:
+        if writer.is_done(_shard_id(i)):
+            continue
+        try:
+            _checkpoint_shard(int(i), bounds, writer, index, zoom)
+            done.append(int(i))
+        except Exception as e:  # noqa: BLE001 - re-raised below
+            error = error or e
+    if error is not None:
+        raise error
+    return done
+
+
+_checkpoint_group_task = ray.remote(_checkpoint_group)
 
 
 def resumable_flagship(n_docs: int, n_shards: int, root: str,
@@ -186,15 +205,16 @@ def resumable_flagship(n_docs: int, n_shards: int, root: str,
     row metrics), and a re-run computes ONLY shards without a valid
     manifest.
 
-    `n_shards` sets both the checkpoint granularity and the task count:
-    every pending shard runs as one Ray task that checkpoints its own
-    shard, so the driver sees only shard ids.  The driver waits for
-    every task before it collects them, so a failed shard raises only
-    once all the others have finished and checkpointed.  The final tile
-    table re-aggregates the checkpointed partials — associative, so
-    shard boundaries never change the answer.  Raises ValueError for
-    n_shards < 1 or n_docs < 0 before anything is written.  Returns
-    (tile_table, n_computed, n_skipped)."""
+    `n_shards` sets only the checkpoint granularity.  The task count
+    comes from the cluster: the pending shards split into
+    min(pending, cluster CPUs) contiguous groups, one Ray task each,
+    and every task checkpoints its own shards, so the driver sees only
+    shard ids.  A failed shard raises only once every other shard, in
+    its own task and in the others, has finished and checkpointed.
+    The final tile table re-aggregates the checkpointed partials —
+    associative, so shard boundaries never change the answer.  Raises
+    ValueError for n_shards < 1 or n_docs < 0 before anything is
+    written.  Returns (tile_table, n_computed, n_skipped)."""
     from proj_ray.stages.agg import combine_block
     from proj_ray.state.checkpoint import CheckpointWriter
 
@@ -209,10 +229,16 @@ def resumable_flagship(n_docs: int, n_shards: int, root: str,
                if not writer.is_done(_shard_id(i))]
     if pending:
         bounds = np.linspace(0, n_docs, n_shards + 1).astype(np.int64)
-        index_ref = [ray.put(_polygon_index(n_polygons))]
-        refs = [_checkpoint_shard.remote(i, bounds, root, config,
-                                         index_ref, zoom)
-                for i in pending]
+        # the index goes by value: Ray inlines an argument under its
+        # direct-call limit (100 KiB; 64 polygons are 47 KB) into the
+        # task spec, where a ray.put costs an object-store round trip
+        # through the raylet, and a larger one it puts itself
+        index = _polygon_index(n_polygons)
+        n_cpus = int(ray.cluster_resources().get("CPU", 1))
+        groups = np.array_split(pending, max(1, min(len(pending), n_cpus)))
+        refs = [_checkpoint_group_task.remote(g, bounds, root, config,
+                                              index, zoom)
+                for g in groups]
         # wait for every task first: a failed shard must not return
         # before the other shards have checkpointed
         ray.wait(refs, num_returns=len(refs))

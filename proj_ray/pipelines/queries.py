@@ -1404,8 +1404,7 @@ def q_pip_polygons(sf_dir: str):
     from proj_ray.spatial.join import broadcast_pip_join
     from proj_ray.spatial.pip import make_polygons
 
-    return broadcast_pip_join(coords_dataset(sf_dir), make_polygons(64),
-                              concurrency=2)
+    return broadcast_pip_join(coords_dataset(sf_dir), make_polygons(64))
 
 
 def q_pip_polygons_shuffle(sf_dir: str):
@@ -3564,13 +3563,14 @@ def q_ann_ivf(sf_dir: str):
 
 def q_video_frames(sf_dir: str):
     """Multimodal video path: media spans -> synthetic payloads ->
-    actor-pool frame sampling (one row per sampled frame with its
+    frame sampling (one row per sampled frame with its
     timestamp) -> per-frame fingerprint.  Rows-only (payload durations
     derive from sha256 of the ref — not SQL-expressible); the fan-out
     counts are pinned by tests/test_media.py."""
     import pyarrow.compute as pc
 
     from proj_ray.docs.synth import doc_dataset_from_documents
+    from proj_ray.stages.ann import _cached_fn
     from proj_ray.stages.media import FrameSampler, synth_media_batch
 
     def media_refs(batch: pa.Table) -> pa.Table:
@@ -3585,8 +3585,8 @@ def q_video_frames(sf_dir: str):
     docs = doc_dataset_from_documents(sf_dir)
     frames = docs.map_batches(media_refs, batch_format="pyarrow") \
         .map_batches(synth_media_batch, batch_format="pyarrow") \
-        .map_batches(FrameSampler, batch_format="pandas",
-                     batch_size=1024, concurrency=2)
+        .map_batches(_cached_fn(FrameSampler), batch_format="pandas",
+                     batch_size=1024)
 
     def fingerprint(t: pa.Table) -> pa.Table:
         # deterministic per-frame id: ref hash mixed with timestamp —
@@ -3662,12 +3662,13 @@ GROUP BY label, i
 
 def q_media_resize(sf_dir: str):
     """Multimodal image path: media spans -> synthetic payloads ->
-    actor-pool nearest-neighbor resize to 16x16 thumbnails with a
+    nearest-neighbor resize to 16x16 thumbnails with a
     mean-luma feature (rows-only; byte->pixel view is the documented
     stub, the index math and plumbing are real)."""
     import pyarrow.compute as pc
 
     from proj_ray.docs.synth import doc_dataset_from_documents
+    from proj_ray.stages.ann import _cached_fn
     from proj_ray.stages.media import ImageResizer, synth_media_batch
 
     def media_refs(batch: pa.Table) -> pa.Table:
@@ -3682,18 +3683,18 @@ def q_media_resize(sf_dir: str):
     docs = doc_dataset_from_documents(sf_dir)
     out = docs.map_batches(media_refs, batch_format="pyarrow") \
         .map_batches(synth_media_batch, batch_format="pyarrow") \
-        .map_batches(ImageResizer, batch_format="pandas",
-                     batch_size=1024, concurrency=2)
+        .map_batches(_cached_fn(ImageResizer), batch_format="pandas",
+                     batch_size=1024)
     return out.drop_columns(["thumb"])
 
 
 def q_media_features(sf_dir: str):
     """Multimodal plumbing: media spans -> synthetic payloads ->
-    actor-pool 'decode' -> compact features (rows-only)."""
+    'decode' -> compact features (rows-only)."""
     from proj_ray.docs.synth import doc_dataset_from_documents
     from proj_ray.stages.media import media_pipeline
 
-    out = media_pipeline(doc_dataset_from_documents(sf_dir), concurrency=2)
+    out = media_pipeline(doc_dataset_from_documents(sf_dir))
     return out.map_batches(
         lambda df: df.assign(
             feat0=np.round(df["features"].map(lambda f: float(f[0])), 9)
@@ -3703,12 +3704,13 @@ def q_media_features(sf_dir: str):
 
 def q_audio_chunks(sf_dir: str):
     """Multimodal audio path: media spans -> synthetic payloads ->
-    actor-pool window chunking with per-chunk RMS features
+    window chunking with per-chunk RMS features
     (rows-only; the PCM view is the documented stub, the fan-out and
     feature math are real)."""
     import pyarrow.compute as pc
 
     from proj_ray.docs.synth import doc_dataset_from_documents
+    from proj_ray.stages.ann import _cached_fn
     from proj_ray.stages.media import AudioChunker, synth_media_batch
 
     def media_refs(batch: pa.Table) -> pa.Table:
@@ -3723,8 +3725,8 @@ def q_audio_chunks(sf_dir: str):
     ds = doc_dataset_from_documents(sf_dir) \
         .map_batches(media_refs, batch_format="pyarrow") \
         .map_batches(synth_media_batch, batch_format="pyarrow") \
-        .map_batches(AudioChunker, batch_format="pandas",
-                     batch_size=1024, concurrency=2)
+        .map_batches(_cached_fn(AudioChunker), batch_format="pandas",
+                     batch_size=1024)
     return ds.map_batches(
         lambda df: df.assign(rms=np.round(df["rms"], 9)),
         batch_format="pandas")

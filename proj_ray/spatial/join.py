@@ -42,8 +42,9 @@ from proj_ray.spatial.pip import PolygonEdges, PolygonIndex, \
 
 
 class BroadcastPIPJoiner:
-    """map_batches callable-class stage: actor pool holding the polygon
-    index (fetched from the object store once per actor)."""
+    """map_batches callable-class stage holding the polygon index
+    (fetched from the object store once per worker process through
+    `stages.ann._cached_fn`)."""
 
     def __init__(self, index_ref):
         from proj_ray.stages.worker_cache import get_broadcast
@@ -62,9 +63,10 @@ class BroadcastPIPJoiner:
         })
 
 
-def broadcast_pip_join(coords_ds, polygons: Dict, res_deg: float = 5.0,
-                       concurrency: int = 2):
-    """coords_ds: Dataset with (doc_id, offset, lon, lat)."""
+def broadcast_pip_join(coords_ds, polygons: Dict, res_deg: float = 5.0):
+    """coords_ds: Dataset with (doc_id, offset, lon, lat).  The probe
+    runs as stateless tasks, each worker process building its joiner
+    once."""
     import ray
 
     from proj_ray.stages.ann import _cached_fn

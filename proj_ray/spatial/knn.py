@@ -45,7 +45,8 @@ def sql_haversine_expr(lon1, lat1, lon2, lat2) -> str:
 
 
 class BruteKNNJoiner:
-    """Actor-pool stage: holds the (small) query matrix, scores each
+    """Callable-class stage (one per worker process through
+    `stages.ann._cached_fn`): holds the (small) query matrix, scores each
     coordinate batch against all queries vectorized, emits partial
     top-k per query per batch (combiner); a final small groupby merges."""
 
@@ -110,9 +111,9 @@ def _merge_topk(group, k: int):
 
 
 def knn_brute(coords_ds, queries: Dict, k: int = 5,
-              metric: str = "haversine", concurrency: int = 2):
-    """Distributed brute-force kNN: per-batch partial top-k inside an
-    actor pool (combiner pattern); the partial stream is tiny
+              metric: str = "haversine"):
+    """Distributed brute-force kNN: per-batch partial top-k in
+    stateless tasks (combiner pattern); the partial stream is tiny
     (n_queries * k * n_blocks), so the final merge runs on the driver."""
     import pandas as pd
     import ray
@@ -169,7 +170,7 @@ def _cap_cells(qlon: float, qlat: float, radius_m: float,
 
 
 def knn_cell_ring(coords_ds, queries: Dict, k: int = 5,
-                  res_deg: float = 5.0, concurrency: int = 2):
+                  res_deg: float = 5.0):
     """Exact kNN via cell-ring candidate generation + geodesic refine.
 
     Two-round exact algorithm (SURVEY.md §2.8):
@@ -221,7 +222,7 @@ def knn_cell_ring(coords_ds, queries: Dict, k: int = 5,
 
     provisional = knn_brute(
         coords_ds.map_batches(make_prune(cand), batch_format="pyarrow"),
-        queries, k, metric="karney", concurrency=concurrency).to_pandas()
+        queries, k, metric="karney").to_pandas()
     dk = provisional.groupby("query_id")["dist_m"].max()
 
     final_cells: set = set()
@@ -232,8 +233,7 @@ def knn_cell_ring(coords_ds, queries: Dict, k: int = 5,
 
     pruned = coords_ds.map_batches(make_prune(final_cells),
                                    batch_format="pyarrow")
-    return knn_brute(pruned, queries, k, metric="karney",
-                     concurrency=concurrency)
+    return knn_brute(pruned, queries, k, metric="karney")
 
 
 def make_queries(n_queries: int = 100, seed: int = 4242) -> Dict:

@@ -95,7 +95,7 @@ def fanin_topk(partial, k: int, group_col: str = "query_id",
     return keyed_apply(partial, group_col, merge, fanout)
 
 
-def ann_brute_topk(emb_ds, queries: Dict, k: int = 5, concurrency: int = 2):
+def ann_brute_topk(emb_ds, queries: Dict, k: int = 5):
     """queries: {'query_id': int array, 'embedding': (nq, d) array}."""
     import ray
 
@@ -232,9 +232,8 @@ def train_centroids(emb_ds, n_centroids: int = 16,
 
 
 def ann_ivf_topk(emb_ds, queries: Dict, k: int = 5, n_centroids: int = 16,
-                 nprobe: int = 4, sample_fraction: float = 0.25,
-                 concurrency: int = 2):
-    """Streaming IVF: assign-then-prune inside one actor-pool pass.
+                 nprobe: int = 4, sample_fraction: float = 0.25):
+    """Streaming IVF: assign-then-prune inside one stateless-task pass.
 
     Scan volume is nprobe/n_centroids of the corpus for scoring (the
     assignment matmul still reads each vector once); for repeated query
@@ -279,7 +278,7 @@ def ivf_build(emb_ds, index_dir: str, n_centroids: int = 16,
 
 
 def ann_ivf_topk_indexed(index_dir: str, queries: Dict, k: int = 5,
-                         nprobe: int = 4, concurrency: int = 2):
+                         nprobe: int = 4):
     """Probe a persisted IVF index: READS only the nprobe bucket
     partitions per query set (storage-level pruning), scores them
     exactly, merges partial top-k."""

@@ -2,9 +2,16 @@
 
 Media payloads are opaque `binary` columns with typed metadata.  The
 actual codecs are NOT available in this environment, so the decode step
-is a clearly-marked deterministic fake behind the same actor-pool
+is a clearly-marked deterministic fake behind the same callable-class
 interface a real decoder would use — the Ray-side plumbing (schema,
-batch sizing, actor signature, output layout) is real and tested.
+batch sizing, constructor/call signature, output layout) is real and
+tested.
+
+The stage classes hold only config, so they run as stateless tasks
+through `stages.ann._cached_fn` (one instance per worker process), not
+as fixed-size actor pools: an actor pool holds its CPUs for the whole
+execution, so on a 1- or 2-CPU cluster the read task that feeds it
+never schedules.
 
 A production deployment swaps `FakeImageDecoder._decode` for a real
 library call; nothing else changes.
@@ -55,11 +62,11 @@ def synth_media_batch(batch: pa.Table) -> pa.Table:
 
 
 class FakeImageDecoder:
-    """Actor-pool decode/feature stage.
+    """Decode/feature stage.
 
     __init__ is where a real build would load the codec / model ONCE per
-    actor; __call__ handles a batch.  The fake 'decode' derives a small
-    deterministic feature vector from the payload bytes.
+    worker process; __call__ handles a batch.  The fake 'decode' derives
+    a small deterministic feature vector from the payload bytes.
     """
 
     def __init__(self, feature_dim: int = 8):
@@ -156,10 +163,12 @@ class AudioChunker:
         })
 
 
-def media_pipeline(doc_ds, concurrency: int = 2):
+def media_pipeline(doc_ds):
     """documents -> media spans -> fake decode -> features (end-to-end
     plumbing used by tests and bench)."""
     import pyarrow.compute as pc
+
+    from proj_ray.stages.ann import _cached_fn
 
     def media_refs(batch: pa.Table) -> pa.Table:
         spans = batch.column("spans")
@@ -173,18 +182,18 @@ def media_pipeline(doc_ds, concurrency: int = 2):
     media = doc_ds.map_batches(media_refs, batch_format="pyarrow") \
         .map_batches(synth_media_batch, batch_format="pyarrow")
     return media.map_batches(
-        FakeImageDecoder, batch_format="pandas", batch_size=1024,
-        concurrency=concurrency)
+        _cached_fn(FakeImageDecoder), batch_format="pandas",
+        batch_size=1024)
 
 
 class ImageResizer:
     """Image resize stage: nearest-neighbor downsample of each image
-    payload to `target` x `target` (actor-pool shape; batch in, batch
-    out).  The byte->pixel view is the documented stub (payload bytes
-    stand in for an 8-bit luma grid of the manifest's width x height);
-    the index math, fan-in plumbing and output layout are the real
-    product — a production deployment swaps the byte view for a codec
-    and nothing else changes."""
+    payload to `target` x `target` (batch in, batch out).  The
+    byte->pixel view is the documented stub (payload bytes stand in
+    for an 8-bit luma grid of the manifest's width x height); the index
+    math, fan-in plumbing and output layout are the real product — a
+    production deployment swaps the byte view for a codec and nothing
+    else changes."""
 
     def __init__(self, target: int = 16):
         self.target = target

@@ -157,6 +157,88 @@ def test_resumable_flagship_failed_shard_leaves_no_torn_output(
     assert_tiles_match_oneshot(tiles, n_docs)
 
 
+class _GroupSpy:
+    """Stands in for the group task: records each launch's shard ids
+    on the driver, then launches the real task."""
+
+    def __init__(self, task):
+        self.task = task
+        self.groups = []
+
+    def remote(self, shards, *args):
+        self.groups.append([int(i) for i in shards])
+        return self.task.remote(shards, *args)
+
+
+def test_resumable_flagship_one_task_per_cpu(tmp_path, ray_session,
+                                             monkeypatch):
+    """The task count is min(pending shards, cluster CPUs), each task a
+    contiguous run of pending shards; the shard count still sets the
+    checkpoints: one part and one manifest per shard."""
+    from proj_ray.pipelines import flagship as fl
+
+    spy = _GroupSpy(fl._checkpoint_group_task)
+    monkeypatch.setattr(fl, "_checkpoint_group_task", spy)
+    root = str(tmp_path / "ckpt")
+    n_docs, n_shards = 8000, 16
+
+    # the fixture's cluster has 4 CPUs
+    tiles, computed, skipped = fl.resumable_flagship(n_docs, n_shards, root)
+    assert (computed, skipped) == (16, 0)
+    assert spy.groups == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11],
+                          [12, 13, 14, 15]]
+    names = os.listdir(root)
+    pids = [f"shard-{i:05d}" for i in range(n_shards)]
+    assert sorted(n for n in names if n.startswith("part=")) == \
+        [f"part={p}" for p in pids]
+    assert sorted(n for n in names if n.startswith("_manifest_")) == \
+        [f"_manifest_{p}.json" for p in pids]
+    assert_tiles_match_oneshot(tiles, n_docs)
+
+    spy.groups.clear()
+    for i in (5, 11):
+        os.remove(os.path.join(root, f"_manifest_shard-{i:05d}.json"))
+    tiles2, computed, skipped = fl.resumable_flagship(n_docs, n_shards,
+                                                      root)
+    assert (computed, skipped) == (2, 14)
+    assert spy.groups == [[5], [11]]
+    assert len(os.listdir(root)) == 2 * n_shards
+    assert_tiles_match_oneshot(tiles2, n_docs)
+
+
+def test_checkpoint_group_skips_finished_shards(tmp_path, ray_session):
+    """A group that meets an already checkpointed shard (a Ray retry
+    after a worker crash) leaves it as it is and writes the others;
+    the resulting tiles equal the one-shot run's."""
+    import json
+
+    import numpy as np
+
+    from proj_ray.pipelines.flagship import (_checkpoint_group,
+                                             _polygon_index,
+                                             resumable_flagship)
+
+    root = str(tmp_path / "ckpt")
+    n_docs, n_shards = 4000, 4
+    config = {"n_docs": n_docs, "n_shards": n_shards, "zoom": 8,
+              "n_polygons": 64}
+    bounds = np.linspace(0, n_docs, n_shards + 1).astype(np.int64)
+    index = _polygon_index(64)
+
+    def written_at(i):
+        with open(os.path.join(root, f"_manifest_shard-{i:05d}.json")) as f:
+            return json.load(f)["written_at"]
+
+    assert _checkpoint_group([1], bounds, root, config, index, 8) == [1]
+    first = written_at(1)
+    assert _checkpoint_group([0, 1, 2, 3], bounds, root, config, index,
+                             8) == [0, 2, 3]
+    assert written_at(1) == first
+    tiles, computed, skipped = resumable_flagship(n_docs, n_shards, root)
+    assert (computed, skipped) == (0, n_shards)
+    assert_tiles_match_oneshot(tiles, n_docs)
+
+
 @pytest.mark.parametrize("n_docs,n_shards", [(4000, 0), (4000, -1),
                                              (-1, 4)])
 def test_resumable_flagship_rejects_bad_sizes(tmp_path, n_docs, n_shards):

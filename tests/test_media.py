@@ -1,8 +1,15 @@
 """Media-stage plumbing: frame sampling fan-out and the decode
 pipeline's payload-drop contract."""
 
+import json
+import os
+import signal
+import subprocess
+import sys
+
 import numpy as np
 import pandas as pd
+import pytest
 
 from proj_ray.stages.media import FakeImageDecoder, FrameSampler
 
@@ -102,3 +109,38 @@ def test_image_resizer_known_grid():
     # rows 0,2 and cols 0,2 of the 4x4 grid
     np.testing.assert_array_equal(thumb, [[0, 2], [8, 10]])
     assert out["mean_luma"].iloc[0] == (0 + 2 + 8 + 10) / 4
+
+
+_ONE_CPU_MEDIA = """
+import json
+
+import ray
+
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+from proj_ray.pipelines.queries import q_media_features, q_video_frames
+
+print(json.dumps([q_media_features({sf!r}).count(),
+                  q_video_frames({sf!r}).count()]))
+"""
+
+
+def test_media_queries_finish_on_one_cpu(sf_dir):
+    """The media stages on a 1-CPU cluster of their own must finish
+    with the row counts they give on 4 CPUs (sf0.001).  A fixed-size
+    actor pool there holds the only CPU slot, and the read task
+    feeding it never schedules."""
+    root = os.path.join(os.path.dirname(__file__), "..")
+    proc = subprocess.Popen([sys.executable, "-c",
+                             _ONE_CPU_MEDIA.format(sf=sf_dir)], cwd=root,
+                            stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("media queries did not finish in 120 s on 1 CPU")
+    assert proc.returncode == 0, err[-2000:]
+    assert json.loads(out.strip().splitlines()[-1]) == [350, 1721]
